@@ -18,7 +18,7 @@
 //! (`verdicts_match`, `generation.series_match`,
 //! `fig2_ab_end_to_end.series_match`) before the numbers are written.
 //!
-//! Usage: `bench_summary [--quick] [--out PATH] [--trace PATH] [--serve]`
+//! Usage: `bench_summary [--quick] [--out PATH] [--trace PATH] [--serve | --incremental]`
 //!
 //! `--trace PATH` additionally replays the first corpus set under the
 //! simulator with event tracing and writes the Chrome trace-event JSON
@@ -41,15 +41,6 @@
 //! before the numbers are written; in full mode the incremental path
 //! must be ≥ 10× faster. Writes `BENCH_incremental.json`
 //! (or `--out PATH`).
-//!
-//! `--exec` switches to the executor dispatch benchmark instead: the v1
-//! condvar engine vs the v2 lock-free injector/stealer engine on a
-//! dispatch-bound workload (a wide flat fork-join of wcet-1 nodes at
-//! `time_scale` zero — the bodies are free, so the measured cost is
-//! dispatch itself) at m ∈ {4, 8, 16, 32}. Every run is gated on full
-//! execution and an untouched available-concurrency floor; in full mode
-//! the v2 engine must reach ≥ 2× the v1 node throughput at m = 16 and
-//! m = 32. Writes `BENCH_exec.json` (or `--out PATH`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,7 +71,6 @@ struct Config {
     out: String,
     trace: Option<String>,
     serve: bool,
-    exec: bool,
     incremental: bool,
 }
 
@@ -92,7 +82,6 @@ fn main() {
         out: String::new(),
         trace: None,
         serve: false,
-        exec: false,
         incremental: false,
     };
     let mut args = std::env::args().skip(1);
@@ -106,13 +95,12 @@ fn main() {
             "--out" => cfg.out = args.next().expect("--out needs a path"),
             "--trace" => cfg.trace = Some(args.next().expect("--trace needs a path")),
             "--serve" => cfg.serve = true,
-            "--exec" => cfg.exec = true,
             "--incremental" => cfg.incremental = true,
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: bench_summary [--quick] [--out PATH] [--trace PATH] [--serve] \
-                     [--exec] [--incremental]"
+                     [--incremental]"
                 );
                 std::process::exit(2);
             }
@@ -121,8 +109,6 @@ fn main() {
     if cfg.out.is_empty() {
         cfg.out = if cfg.serve {
             "BENCH_serve.json".to_string()
-        } else if cfg.exec {
-            "BENCH_exec.json".to_string()
         } else if cfg.incremental {
             "BENCH_incremental.json".to_string()
         } else {
@@ -131,10 +117,6 @@ fn main() {
     }
     if cfg.serve {
         serve_benchmark(&cfg);
-        return;
-    }
-    if cfg.exec {
-        exec_benchmark(&cfg);
         return;
     }
     if cfg.incremental {
@@ -767,249 +749,6 @@ fn incremental_benchmark(cfg: &Config) {
     json.push_str(&format!("  \"gate_10x\": {gate_10x}\n"));
     json.push_str("}\n");
     std::fs::write(&cfg.out, &json).expect("write incremental benchmark artifact");
-    eprintln!("wrote {}", cfg.out);
-    print!("{json}");
-}
-
-/// One engine × pool-size measurement of the dispatch benchmark.
-/// `nodes_per_sec` is derived from the *best* repetition: the machine
-/// shares a host, and external noise bursts only ever slow a rep down,
-/// so min-of-reps is the standard noise-robust throughput estimator
-/// (the median is kept for dispersion reporting).
-struct ExecSample {
-    nodes_per_sec: f64,
-    best_job_ns: u128,
-    median_job_ns: u128,
-    span_p50_ns: u64,
-    span_p99_ns: u64,
-}
-
-/// One engine's half of the interleaved measurement at one pool size.
-struct ExecRunner {
-    pool: rtpool_exec::ThreadPool,
-    spans: rtpool_trace::LatencyHistogram,
-    job_ns: Vec<u128>,
-}
-
-impl ExecRunner {
-    fn new(
-        m: usize,
-        discipline: rtpool_exec::QueueDiscipline,
-        engine: rtpool_exec::Engine,
-        reps: usize,
-    ) -> Self {
-        use rtpool_exec::{PoolConfig, ThreadPool};
-        ExecRunner {
-            pool: ThreadPool::new(
-                PoolConfig::new(m, discipline)
-                    .with_engine(engine)
-                    .with_time_scale(Duration::ZERO)
-                    .with_watchdog(Duration::from_secs(30)),
-            ),
-            spans: rtpool_trace::LatencyHistogram::new(),
-            job_ns: Vec::with_capacity(reps),
-        }
-    }
-
-    /// One repetition: `jobs` back-to-back runs of the wide flat DAG.
-    /// Every run is gated on full execution and the untouched
-    /// available-concurrency floor (the workload has no blocking nodes,
-    /// so `l(t)` must never drop below `m`).
-    fn rep(&mut self, dag: &rtpool_graph::Dag, m: usize, jobs: usize) {
-        let engine = self.pool.engine();
-        let mut reports = Vec::with_capacity(jobs);
-        // Only the pool runs inside the timed region; gating and span
-        // accounting happen after the clock stops so the measured cost
-        // is the dispatch engine's alone.
-        let start = Instant::now();
-        for _ in 0..jobs {
-            reports.push(self.pool.run(dag).expect("benchmark run"));
-        }
-        self.job_ns
-            .push(start.elapsed().as_nanos() / jobs.max(1) as u128);
-        for report in reports {
-            assert_eq!(
-                report.executed_nodes,
-                dag.node_count(),
-                "{} at m={m}: incomplete run",
-                engine.as_str()
-            );
-            assert_eq!(
-                report.min_available_workers,
-                m,
-                "{} at m={m}: a non-blocking workload must not eat concurrency",
-                engine.as_str()
-            );
-            for span in &report.spans {
-                self.spans
-                    .observe(u64::try_from((span.end - span.start).as_nanos()).unwrap_or(u64::MAX));
-            }
-        }
-    }
-
-    fn sample(self, nodes_per_job: usize) -> ExecSample {
-        let best_job_ns = self.job_ns.iter().copied().min().unwrap_or(u128::MAX);
-        let median_job_ns = median(self.job_ns);
-        ExecSample {
-            nodes_per_sec: nodes_per_job as f64 / (best_job_ns.max(1) as f64 / 1e9),
-            best_job_ns,
-            median_job_ns,
-            span_p50_ns: self.spans.quantile_upper(0.50).unwrap_or(0),
-            span_p99_ns: self.spans.quantile_upper(0.99).unwrap_or(0),
-        }
-    }
-}
-
-/// Measures both engines at one pool size with *interleaved* repetitions
-/// (v1 rep, v2 rep, v1 rep, ...), so slow drift in background load hits
-/// both engines equally instead of biasing whichever ran second.
-///
-/// The returned speedup is the **median of pairwise per-rep ratios**:
-/// rep `i` of both engines runs back-to-back and shares its noise
-/// environment, so `v1[i] / v2[i]` cancels host-level slowdowns that a
-/// ratio of independently-picked best reps would mix across phases.
-fn measure_exec_pair(
-    dag: &rtpool_graph::Dag,
-    m: usize,
-    discipline: &rtpool_exec::QueueDiscipline,
-    jobs: usize,
-    reps: usize,
-) -> (ExecSample, ExecSample, f64) {
-    use rtpool_exec::Engine;
-    let mut v1 = ExecRunner::new(m, discipline.clone(), Engine::V1Condvar, reps);
-    let mut v2 = ExecRunner::new(m, discipline.clone(), Engine::V2LockFree, reps);
-    // Warm-up rep for each: workers attached, queues touched, counters
-    // exercised; discarded.
-    v1.rep(dag, m, jobs.min(4));
-    v2.rep(dag, m, jobs.min(4));
-    v1.job_ns.clear();
-    v2.job_ns.clear();
-    for _ in 0..reps {
-        v1.rep(dag, m, jobs);
-        v2.rep(dag, m, jobs);
-    }
-    let mut ratios: Vec<f64> = v1
-        .job_ns
-        .iter()
-        .zip(&v2.job_ns)
-        .map(|(&a, &b)| a as f64 / b.max(1) as f64)
-        .collect();
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let speedup = ratios[ratios.len() / 2];
-    let nodes = dag.node_count();
-    (v1.sample(nodes), v2.sample(nodes), speedup)
-}
-
-/// Runs the executor dispatch benchmark (`--exec`) and writes
-/// `BENCH_exec.json`: v1 condvar engine vs v2 lock-free engine at
-/// m ∈ {4, 8, 16, 32} on a dispatch-bound wide flat fork-join.
-fn exec_benchmark(cfg: &Config) {
-    const WIDTH: usize = 256;
-    const POOL_SIZES: [usize; 4] = [4, 8, 16, 32];
-    // Full-mode reps are long (100 jobs ≈ 10–30 ms) so a single OS
-    // scheduling burp cannot dominate a rep; quick mode stays short for
-    // CI smoke use.
-    let (jobs, reps) = if cfg.quick { (6, 3) } else { (100, 9) };
-
-    // Source → WIDTH parallel wcet-1 nodes → sink, non-blocking, at
-    // time_scale zero: node bodies cost nothing, so per-job time is the
-    // dispatch engine's own overhead (v1: one pool-mutex round-trip plus
-    // an m-wide notify_all broadcast per completion; v2: lock-free queue
-    // ops plus one targeted unpark).
-    let mut b = rtpool_graph::DagBuilder::new();
-    let wcets = vec![1u64; WIDTH];
-    b.fork_join(1, &wcets, 1, false).expect("flat fork-join");
-    let dag = b.build().expect("valid dag");
-    eprintln!(
-        "exec benchmark: {} nodes/job, {jobs} jobs x {reps} reps per engine, m in {POOL_SIZES:?}",
-        dag.node_count()
-    );
-
-    use rtpool_exec::QueueDiscipline;
-    let disciplines = [
-        ("global_fifo", QueueDiscipline::GlobalFifo),
-        (
-            "work_stealing",
-            QueueDiscipline::WorkStealing { seed: BASE_SEED },
-        ),
-    ];
-    let mut tables = Vec::new();
-    for (name, discipline) in &disciplines {
-        eprintln!("  discipline: {name}");
-        let mut rows = Vec::new();
-        for m in POOL_SIZES {
-            let (v1, v2, speedup) = measure_exec_pair(&dag, m, discipline, jobs, reps);
-            eprintln!(
-                "    m={m:>2}: v1 {:>10.0} nodes/s | v2 {:>10.0} nodes/s | speedup {speedup:.2}x",
-                v1.nodes_per_sec, v2.nodes_per_sec
-            );
-            rows.push((m, v1, v2, speedup));
-        }
-        tables.push((*name, rows));
-    }
-
-    // The 2x gate applies to the engine's headline discipline — the
-    // injector/stealer work-stealing path, where v1 serializes every
-    // local pop and steal under the one pool mutex.
-    let ws = &tables
-        .iter()
-        .find(|(n, _)| *n == "work_stealing")
-        .expect("ws table")
-        .1;
-    let speedup_at = |m: usize| {
-        ws.iter()
-            .find(|(size, ..)| *size == m)
-            .map(|(_, _, _, s)| *s)
-            .expect("measured pool size")
-    };
-    let (speedup_m16, speedup_m32) = (speedup_at(16), speedup_at(32));
-    let gate_2x = speedup_m16 >= 2.0 && speedup_m32 >= 2.0;
-    if !cfg.quick {
-        assert!(
-            gate_2x,
-            "v2 engine must reach 2x the v1 dispatch throughput at m=16 and m=32 \
-             under work stealing (got {speedup_m16:.2}x and {speedup_m32:.2}x)"
-        );
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"executor dispatch engines: v1 condvar vs v2 lock-free\",\n");
-    json.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    json.push_str(&format!(
-        "  \"workload\": {{ \"shape\": \"source -> {WIDTH} x wcet-1 -> sink\", \"nodes\": {}, \"jobs_per_rep\": {jobs}, \"reps\": {reps}, \"time_scale_ns\": 0 }},\n",
-        dag.node_count()
-    ));
-    json.push_str("  \"disciplines\": {\n");
-    for (d, (name, rows)) in tables.iter().enumerate() {
-        json.push_str(&format!("    \"{name}\": {{\n"));
-        for (i, (m, v1, v2, speedup)) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "      \"m{m}\": {{ \"v1_condvar\": {{ \"nodes_per_sec\": {:.0}, \"best_job_ns\": {}, \"median_job_ns\": {}, \"span_p50_ns\": {}, \"span_p99_ns\": {} }}, \"v2_lockfree\": {{ \"nodes_per_sec\": {:.0}, \"best_job_ns\": {}, \"median_job_ns\": {}, \"span_p50_ns\": {}, \"span_p99_ns\": {} }}, \"speedup\": {speedup:.2} }}{}\n",
-                v1.nodes_per_sec,
-                v1.best_job_ns,
-                v1.median_job_ns,
-                v1.span_p50_ns,
-                v1.span_p99_ns,
-                v2.nodes_per_sec,
-                v2.best_job_ns,
-                v2.median_job_ns,
-                v2.span_p50_ns,
-                v2.span_p99_ns,
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "    }}{}\n",
-            if d + 1 < tables.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"speedup_m16\": {speedup_m16:.2},\n  \"speedup_m32\": {speedup_m32:.2},\n  \"gate_2x\": {gate_2x}\n"
-    ));
-    json.push_str("}\n");
-    std::fs::write(&cfg.out, &json).expect("write exec benchmark artifact");
     eprintln!("wrote {}", cfg.out);
     print!("{json}");
 }

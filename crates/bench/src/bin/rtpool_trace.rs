@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! rtpool-trace run <workload.rtp> [--engine sim|exec]
-//!              [--policy global|partitioned] [--pool v1|v2|both] [--m N]
+//!              [--policy global|partitioned] [--m N]
 //!              [--horizon H] [--format summary|ascii|chrome|csv]
 //!              [--out PATH] [--time-scale-us U] [--timeout-ms T]
 //! rtpool-trace validate <trace.json>
@@ -14,13 +14,7 @@
 //! job per task, summary on stdout. `--horizon H` (sim only) switches to
 //! periodic releases up to `H`. Under `--engine exec` each task's DAG
 //! runs as one job on its own pool and yields one trace per task (with
-//! `--out`, files are suffixed `.task<i>`); `--pool v1|v2` selects the
-//! pool's dispatch engine (default `v1`, the mutex/condvar engine; `v2`
-//! is the lock-free injector/stealer engine — both emit the same trace
-//! schema, and `--pool both` runs every task under *both* engines and
-//! prints a per-task table comparing their NodeStart→NodeEnd latency
-//! percentiles, backed by the trace metrics histograms);
-//! `--time-scale-us` sets the
+//! `--out`, files are suffixed `.task<i>`); `--time-scale-us` sets the
 //! wall-clock length of one WCET unit (default 100 µs), and
 //! `--timeout-ms` bounds each task's wall-clock run via the pool
 //! watchdog (default 10 000 ms) — a workload that deadlocks is reported
@@ -37,12 +31,9 @@ use std::time::Duration;
 use rtpool_core::partition::{algorithm1, NodeMapping};
 use rtpool_core::textfmt::parse_task_set;
 use rtpool_core::TaskSet;
-use rtpool_exec::{Engine as PoolEngine, ExecError, PoolConfig, QueueDiscipline, ThreadPool};
+use rtpool_exec::{ExecError, PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool_sim::{SchedulingPolicy, SimConfig};
-use rtpool_trace::{
-    from_chrome_json, to_chrome_json, to_csv, LatencyHistogram, MetricsRegistry, Trace,
-    TraceAnalysis,
-};
+use rtpool_trace::{from_chrome_json, to_chrome_json, to_csv, Trace, TraceAnalysis};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Engine {
@@ -57,12 +48,6 @@ enum Policy {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum PoolChoice {
-    One(PoolEngine),
-    Both,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
     Summary,
     Ascii,
@@ -74,7 +59,6 @@ struct RunArgs {
     workload: PathBuf,
     engine: Engine,
     policy: Policy,
-    pool: PoolChoice,
     m: usize,
     horizon: Option<u64>,
     format: Format,
@@ -85,7 +69,7 @@ struct RunArgs {
 
 fn usage() -> &'static str {
     "usage: rtpool-trace run <workload.rtp> [--engine sim|exec] \
-     [--policy global|partitioned] [--pool v1|v2|both] [--m N] [--horizon H] \
+     [--policy global|partitioned] [--m N] [--horizon H] \
      [--format summary|ascii|chrome|csv] [--out PATH] [--time-scale-us U] \
      [--timeout-ms T]\n\
      \x20      rtpool-trace validate <trace.json>"
@@ -97,7 +81,6 @@ fn parse_run_args(mut it: std::env::Args) -> Result<RunArgs, String> {
         workload: PathBuf::from(workload),
         engine: Engine::Sim,
         policy: Policy::Global,
-        pool: PoolChoice::One(PoolEngine::default()),
         m: 4,
         horizon: None,
         format: Format::Summary,
@@ -120,14 +103,6 @@ fn parse_run_args(mut it: std::env::Args) -> Result<RunArgs, String> {
                     "global" => Policy::Global,
                     "partitioned" => Policy::Partitioned,
                     other => return Err(format!("unknown policy `{other}`")),
-                };
-            }
-            "--pool" => {
-                args.pool = match value("--pool")?.as_str() {
-                    "v1" => PoolChoice::One(PoolEngine::V1Condvar),
-                    "v2" => PoolChoice::One(PoolEngine::V2LockFree),
-                    "both" => PoolChoice::Both,
-                    other => return Err(format!("unknown pool engine `{other}` (v1|v2|both)")),
                 };
             }
             "--m" => {
@@ -171,9 +146,6 @@ fn parse_run_args(mut it: std::env::Args) -> Result<RunArgs, String> {
     }
     if args.m == 0 {
         return Err("--m must be positive".into());
-    }
-    if args.pool == PoolChoice::Both && args.engine != Engine::Exec {
-        return Err("--pool both requires --engine exec".into());
     }
     if args.timeout.is_zero() {
         return Err("--timeout-ms must be positive".into());
@@ -271,7 +243,7 @@ fn task_out(out: Option<&PathBuf>, task: usize, tasks: usize) -> Option<PathBuf>
     Some(PathBuf::from(name))
 }
 
-/// Runs task `i` of the set once on `engine`, returning its trace
+/// Runs task `i` of the set once on the pool, returning its trace
 /// (re-indexed to position `i`). The pool waits on barriers with the
 /// workload's own sync backend (the `.rtp` `backend` directive), so a
 /// spin workload exports `SpinStart`/`SpinEnd` windows.
@@ -280,7 +252,6 @@ fn run_task_trace(
     i: usize,
     task: &rtpool_core::Task,
     backend: rtpool_core::SyncBackend,
-    engine: PoolEngine,
 ) -> Result<Trace, String> {
     let discipline = match args.policy {
         Policy::Global => QueueDiscipline::GlobalFifo,
@@ -290,7 +261,6 @@ fn run_task_trace(
         ),
     };
     let config = PoolConfig::new(args.m, discipline)
-        .with_engine(engine)
         .with_backend(backend)
         .with_time_scale(args.time_scale)
         .with_watchdog(args.timeout)
@@ -307,68 +277,14 @@ fn run_task_trace(
     Ok(trace.with_task_index(u32::try_from(i).unwrap_or(u32::MAX)))
 }
 
-fn engine_label(engine: PoolEngine) -> &'static str {
-    match engine {
-        PoolEngine::V1Condvar => "v1_condvar",
-        PoolEngine::V2LockFree => "v2_lockfree",
-    }
-}
-
-/// `--pool both`: runs every task under both dispatch engines and
-/// prints a per-task table comparing their NodeStart→NodeEnd latency
-/// percentiles (from the trace metrics histograms).
-fn compare_engines(args: &RunArgs, set: &TaskSet) -> Result<(), String> {
-    use std::fmt::Write as _;
-    if args.format != Format::Summary {
-        return Err("--pool both produces the comparison table; use --format summary".into());
-    }
-    let mut out = String::new();
-    for (id, task) in set.iter() {
-        let i = id.index();
-        let _ = writeln!(out, "task {i}: NodeStart→NodeEnd latency (ns) by engine");
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>7} {:>10} {:>10} {:>10} {:>10}",
-            "engine", "count", "p50", "p90", "p99", "max"
-        );
-        for engine in [PoolEngine::V1Condvar, PoolEngine::V2LockFree] {
-            let trace = run_task_trace(args, i, task, set.backend(), engine)?;
-            let metrics = MetricsRegistry::from_trace(&trace);
-            let ti = u32::try_from(i).unwrap_or(u32::MAX);
-            let mut lat = LatencyHistogram::new();
-            for ((t, _), h) in metrics.node_latencies() {
-                if t == ti {
-                    lat.merge(h);
-                }
-            }
-            let q = |p| lat.quantile_upper(p).unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "  {:<12} {:>7} {:>10} {:>10} {:>10} {:>10}",
-                engine_label(engine),
-                lat.count(),
-                q(0.50),
-                q(0.90),
-                q(0.99),
-                lat.max().unwrap_or(0)
-            );
-        }
-    }
-    emit(&out, args.out.as_ref())
-}
-
 fn run_exec(args: &RunArgs, set: &TaskSet) -> Result<(), String> {
     if args.horizon.is_some() {
         return Err("--horizon applies to the simulator only".into());
     }
-    let engine = match args.pool {
-        PoolChoice::Both => return compare_engines(args, set),
-        PoolChoice::One(engine) => engine,
-    };
     let tasks = set.iter().count();
     for (id, task) in set.iter() {
         let i = id.index();
-        let trace = run_task_trace(args, i, task, set.backend(), engine)?;
+        let trace = run_task_trace(args, i, task, set.backend())?;
         if args.format == Format::Summary && args.out.is_none() && tasks > 1 {
             println!("--- task {i} ---");
         }

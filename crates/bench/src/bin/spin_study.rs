@@ -9,8 +9,8 @@
 //! The schedulability half re-runs the fig2 sweep over the global
 //! insets with every sampled set analyzed under both barrier backends
 //! (see `rtpool_bench::spin_study`); the execution half times short-
-//! and long-wait fork-join jobs on the real pool under both backends
-//! and both engines. The artifact carries two determinism/correctness
+//! and long-wait fork-join jobs on the real pool under both backends.
+//! The artifact carries two determinism/correctness
 //! gates CI greps for:
 //!
 //! * `"verdicts_match": true` — the suspend series is bit-identical to
@@ -118,7 +118,7 @@ fn render_json(
     exec: &[rtpool_bench::spin_study::ExecScenario],
 ) -> String {
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"rtpool-bench/spin-study@1\",");
+    let _ = writeln!(json, "  \"schema\": \"rtpool-bench/spin-study@2\",");
     let _ = writeln!(
         json,
         "  \"what\": \"suspend-vs-spin barrier backends: fig2-style schedulability sweep + exec wall-clock head-to-head\","
@@ -174,9 +174,8 @@ fn render_json(
     for (i, s) in exec.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{ \"scenario\": \"{}\", \"engine\": \"{}\", \"suspend_ns\": {}, \"spin_ns\": {}, \"spin_speedup\": {:.3} }}{}",
+            "    {{ \"scenario\": \"{}\", \"suspend_ns\": {}, \"spin_ns\": {}, \"spin_speedup\": {:.3} }}{}",
             s.name,
-            s.engine,
             s.suspend.as_nanos(),
             s.spin.as_nanos(),
             s.spin_speedup(),
@@ -231,9 +230,8 @@ fn main() -> ExitCode {
     }
     for s in &exec {
         println!(
-            "exec {} / {}: suspend {:?}, spin {:?} (spin speedup {:.2}x)",
+            "exec {}: suspend {:?}, spin {:?} (spin speedup {:.2}x)",
             s.name,
-            s.engine,
             s.suspend,
             s.spin,
             s.spin_speedup()

@@ -15,7 +15,7 @@
 //!   ([`StudyReport::spin_never_beats_suspend`] pins the dominance).
 //!
 //! * **Execution wall-clock** — the flip side: tiny fork-join jobs on
-//!   the real pool under both backends and both engines. With short
+//!   the real pool under both backends. With short
 //!   critical sections a spinning fork resumes its continuation with no
 //!   wake-up latency, which is exactly where spin wins; the measured
 //!   medians land in the artifact so the crossover is documented with
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use rtpool_core::SyncBackend;
-use rtpool_exec::{Engine, PoolConfig, QueueDiscipline, ThreadPool};
+use rtpool_exec::{PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool_gen::DagScratch;
 use rtpool_graph::{Dag, DagBuilder};
 
@@ -274,8 +274,6 @@ fn fold_cell(x: i64, outcomes: &[CellOutcome]) -> BackendPoint {
 pub struct ExecScenario {
     /// Scenario name (artifact key).
     pub name: &'static str,
-    /// Engine label (`v1-condvar` / `v2-lockfree`).
-    pub engine: &'static str,
     /// Median wall-clock of one job under the suspend backend.
     pub suspend: Duration,
     /// Median wall-clock of one job under the spin backend.
@@ -304,12 +302,10 @@ fn scenario_dag(child_wcet: u64) -> Dag {
     b.build().expect("valid dag")
 }
 
-/// Times the median job wall-clock for one `(dag, engine, backend)`
-/// combination: `reps` jobs on a persistent pool, one warm-up job
-/// discarded.
-fn median_job(dag: &Dag, engine: Engine, backend: SyncBackend, reps: usize) -> Duration {
+/// Times the median job wall-clock for one `(dag, backend)` combination:
+/// `reps` jobs on a persistent pool, one warm-up job discarded.
+fn median_job(dag: &Dag, backend: SyncBackend, reps: usize) -> Duration {
     let config = PoolConfig::new(3, QueueDiscipline::GlobalFifo)
-        .with_engine(engine)
         .with_backend(backend)
         .with_time_scale(Duration::from_micros(50));
     let mut pool = ThreadPool::new(config);
@@ -326,7 +322,7 @@ fn median_job(dag: &Dag, engine: Engine, backend: SyncBackend, reps: usize) -> D
 }
 
 /// Runs the execution half of the study: short- and long-wait fork-join
-/// jobs under both engines, each timed under both backends.
+/// jobs, each timed under both backends.
 ///
 /// The short-wait scenario (`child_wcet = 1`) is where spin is expected
 /// to win — the barrier opens almost immediately, so the suspend
@@ -338,21 +334,17 @@ fn median_job(dag: &Dag, engine: Engine, backend: SyncBackend, reps: usize) -> D
 pub fn run_exec_study(reps: usize) -> Vec<ExecScenario> {
     let short = scenario_dag(1);
     let long = scenario_dag(20);
-    let mut out = Vec::new();
-    for engine in [Engine::V1Condvar, Engine::V2LockFree] {
-        for (name, dag) in [
-            ("short-critical-section", &short),
-            ("long-critical-section", &long),
-        ] {
-            out.push(ExecScenario {
-                name,
-                engine: engine.as_str(),
-                suspend: median_job(dag, engine, SyncBackend::Suspend, reps),
-                spin: median_job(dag, engine, SyncBackend::Spin, reps),
-            });
-        }
-    }
-    out
+    [
+        ("short-critical-section", &short),
+        ("long-critical-section", &long),
+    ]
+    .into_iter()
+    .map(|(name, dag)| ExecScenario {
+        name,
+        suspend: median_job(dag, SyncBackend::Suspend, reps),
+        spin: median_job(dag, SyncBackend::Spin, reps),
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -416,7 +408,7 @@ mod tests {
     #[test]
     fn exec_study_times_all_scenarios() {
         let scenarios = run_exec_study(3);
-        assert_eq!(scenarios.len(), 4);
+        assert_eq!(scenarios.len(), 2);
         for s in &scenarios {
             assert!(s.suspend > Duration::ZERO && s.spin > Duration::ZERO);
             assert!(s.spin_speedup() > 0.0);

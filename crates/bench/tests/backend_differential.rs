@@ -1,7 +1,7 @@
 //! Cross-backend differential battery: the same seeded task sets pushed
 //! through the simulator and the native pool under **both** barrier
-//! backends (and, on the pool, both dispatch engines), checking the
-//! invariants each backend owes the paper's model:
+//! backends, checking the invariants each backend owes the paper's
+//! model:
 //!
 //! * every trace passes the schema validator — which in spin mode
 //!   rejects `ThreadPark` during a busy-wait (`ParkWhileSpinning`) and
@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use rtpool_core::{deadlock, ConcurrencyAnalysis, SyncBackend, TaskSet};
-use rtpool_exec::{Engine, PoolConfig, QueueDiscipline, ThreadPool};
+use rtpool_exec::{PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 use rtpool_sim::{SchedulingPolicy, SimConfig, SimOutcome};
 use rtpool_trace::{EventKind, Trace, TraceAnalysis};
@@ -33,13 +33,11 @@ use rtpool_trace::{EventKind, Trace, TraceAnalysis};
 /// backends).
 const SIM_SETS: usize = 84;
 /// Distinct seeded sets pushed through the native pool (each under both
-/// backends × both engines).
+/// backends).
 const EXEC_SETS: usize = 20;
 
 // The suite's coverage floor, enforced at compile time.
 const _: () = assert!(SIM_SETS + EXEC_SETS >= 100);
-
-const POOL_ENGINES: [Engine; 2] = [Engine::V1Condvar, Engine::V2LockFree];
 
 fn random_set(seed: u64, n: usize, util: f64) -> TaskSet {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -200,7 +198,7 @@ fn sim_suspend_results_match_the_pre_spin_oracle() {
 }
 
 #[test]
-fn exec_corpus_runs_both_backends_on_both_engines() {
+fn exec_corpus_runs_both_backends() {
     const M: usize = 3;
     let mut spin_blocked_runs = 0usize;
     for seed in 0..EXEC_SETS as u64 {
@@ -216,52 +214,45 @@ fn exec_corpus_runs_both_backends_on_both_engines() {
             {
                 continue;
             }
-            for engine in POOL_ENGINES {
-                for backend in SyncBackend::ALL {
-                    let mut pool = ThreadPool::new(
-                        PoolConfig::new(M, QueueDiscipline::GlobalFifo)
-                            .with_engine(engine)
-                            .with_backend(backend)
-                            .with_time_scale(Duration::ZERO)
-                            .with_watchdog(Duration::from_secs(10))
-                            .with_trace(),
-                    );
-                    let ctx = format!(
-                        "exec seed {seed} task {i} {} backend {}",
-                        engine.as_str(),
-                        backend.as_str()
-                    );
-                    let mut report = pool
-                        .run(dag)
-                        .unwrap_or_else(|e| panic!("{ctx}: certified DAG failed: {e}"));
-                    let trace = report
-                        .trace
-                        .take()
-                        .expect("tracing was enabled")
-                        .with_task_index(u32::try_from(i).unwrap());
-                    assert_backend_signature(&trace, backend, &ctx);
-                    assert_floors(&trace, &set, M, backend, &ctx);
-                    let analysis = TraceAnalysis::new(&trace);
-                    let obs = analysis.task(i);
-                    assert!(!analysis.any_stall(), "{ctx}: certified DAG stalled");
-                    assert_eq!(obs.completed, 1, "{ctx}: job completion");
-                    assert_eq!(
-                        obs.nodes_executed,
-                        dag.node_count(),
-                        "{ctx}: executed node count"
-                    );
-                    assert_eq!(
-                        obs.min_available, report.min_available_workers,
-                        "{ctx}: min available workers"
-                    );
-                    if backend.is_spin()
-                        && trace
-                            .events
-                            .iter()
-                            .any(|e| matches!(e.kind, EventKind::SpinStart { .. }))
-                    {
-                        spin_blocked_runs += 1;
-                    }
+            for backend in SyncBackend::ALL {
+                let mut pool = ThreadPool::new(
+                    PoolConfig::new(M, QueueDiscipline::GlobalFifo)
+                        .with_backend(backend)
+                        .with_time_scale(Duration::ZERO)
+                        .with_watchdog(Duration::from_secs(10))
+                        .with_trace(),
+                );
+                let ctx = format!("exec seed {seed} task {i} backend {}", backend.as_str());
+                let mut report = pool
+                    .run(dag)
+                    .unwrap_or_else(|e| panic!("{ctx}: certified DAG failed: {e}"));
+                let trace = report
+                    .trace
+                    .take()
+                    .expect("tracing was enabled")
+                    .with_task_index(u32::try_from(i).unwrap());
+                assert_backend_signature(&trace, backend, &ctx);
+                assert_floors(&trace, &set, M, backend, &ctx);
+                let analysis = TraceAnalysis::new(&trace);
+                let obs = analysis.task(i);
+                assert!(!analysis.any_stall(), "{ctx}: certified DAG stalled");
+                assert_eq!(obs.completed, 1, "{ctx}: job completion");
+                assert_eq!(
+                    obs.nodes_executed,
+                    dag.node_count(),
+                    "{ctx}: executed node count"
+                );
+                assert_eq!(
+                    obs.min_available, report.min_available_workers,
+                    "{ctx}: min available workers"
+                );
+                if backend.is_spin()
+                    && trace
+                        .events
+                        .iter()
+                        .any(|e| matches!(e.kind, EventKind::SpinStart { .. }))
+                {
+                    spin_blocked_runs += 1;
                 }
             }
         }

@@ -248,19 +248,7 @@ impl ThreadPool {
 
     /// Like [`ThreadPool::new_static`], customizing the underlying
     /// [`PoolConfig`] (time scale, tracing, fault injection, recovery,
-    /// dispatch engine) before the workers spawn.
-    ///
-    /// Selecting [`Engine::V2LockFree`](crate::Engine::V2LockFree) here
-    /// is sound: the Lemma 1 floor `M ≥ b̄ + 1` is a statement about
-    /// the worker count and the workload's blocking structure, not
-    /// about how ready nodes reach workers. Both engines implement the
-    /// identical Listing-1 semantics at the one point the lemma cares
-    /// about — a worker suspended on a blocking join releases its core
-    /// (v2 keeps a condvar for exactly this suspension even though its
-    /// dispatch path is lock-free) — so b̄, and with it the certified
-    /// deadlock-freedom argument, transfers unchanged. The root
-    /// `tests/certified.rs` suite asserts the floor holds at runtime on
-    /// both engines.
+    /// barrier backend) before the workers spawn.
     ///
     /// # Panics
     ///
@@ -349,22 +337,6 @@ mod tests {
             let report = pool.run(&dag).expect("certified workload cannot stall");
             assert_eq!(report.executed_nodes, dag.node_count());
             // l(t) never drops below the certified floor l̄ = m − b̄.
-            assert!(report.min_available_workers >= CONFIG.proof.floor());
-        }
-    }
-
-    #[test]
-    fn new_static_runs_on_the_v2_engine() {
-        // The certificate is engine-independent: b̄ depends only on the
-        // blocking structure, and both engines release a BJ-suspended
-        // worker's core, so the floor must hold under v2 too.
-        let mut pool = ThreadPool::new_static_with(&CONFIG, |c| {
-            c.with_engine(crate::Engine::V2LockFree)
-                .with_time_scale(std::time::Duration::ZERO)
-        });
-        for dag in CONFIG.dags() {
-            let report = pool.run(&dag).expect("certified workload cannot stall");
-            assert_eq!(report.executed_nodes, dag.node_count());
             assert!(report.min_available_workers >= CONFIG.proof.floor());
         }
     }

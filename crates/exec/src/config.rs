@@ -5,6 +5,7 @@ use std::time::Duration;
 use rtpool_core::partition::NodeMapping;
 use rtpool_core::SyncBackend;
 
+use crate::engine::MAX_WORKERS;
 use crate::fault::FaultPlan;
 use crate::recovery::RecoveryPolicy;
 
@@ -29,39 +30,6 @@ pub enum QueueDiscipline {
     },
 }
 
-/// Which dispatch engine a [`ThreadPool`](crate::ThreadPool) runs on.
-///
-/// Both engines implement the same execution model — identical queue
-/// disciplines, Listing-1 blocking-join semantics, exact stall
-/// detection, fault injection, and recovery — and are asserted
-/// equivalent by the differential trace suite. They differ only in how
-/// dispatch is synchronized, so the paper's `l(t)` / `b̄` accounting is
-/// engine-independent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The v1 engine: every dispatch, completion, and wakeup goes
-    /// through one pool mutex with a broadcast condvar (the seed
-    /// behavior, and the default).
-    #[default]
-    V1Condvar,
-    /// The v2 engine: lock-free injector/stealer queues
-    /// (Chase-Lev deques + an MPMC injector) with atomic
-    /// sequence-count parking; a condvar is used only for the
-    /// Listing-1 blocking-join suspensions the paper's model requires.
-    V2LockFree,
-}
-
-impl Engine {
-    /// Stable lower-case name (CLI / benchmark labels).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::V1Condvar => "v1-condvar",
-            Engine::V2LockFree => "v2-lockfree",
-        }
-    }
-}
-
 /// Configuration of a [`ThreadPool`](crate::ThreadPool).
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
@@ -69,8 +37,6 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Queue discipline.
     pub discipline: QueueDiscipline,
-    /// Dispatch engine (default: [`Engine::V1Condvar`]).
-    pub engine: Engine,
     /// Wall-clock duration of one WCET unit; node bodies sleep for
     /// `wcet × time_scale`. `Duration::ZERO` runs bodies instantaneously
     /// (useful in tests — synchronization behavior is unaffected).
@@ -111,7 +77,6 @@ impl PoolConfig {
         PoolConfig {
             workers,
             discipline,
-            engine: Engine::default(),
             time_scale: Duration::from_micros(200),
             watchdog: Duration::from_secs(5),
             recovery: RecoveryPolicy::default(),
@@ -141,21 +106,6 @@ impl PoolConfig {
     #[must_use]
     pub fn with_trace(mut self) -> Self {
         self.record_trace = true;
-        self
-    }
-
-    /// Selects the dispatch engine.
-    ///
-    /// ```
-    /// use rtpool_exec::{Engine, PoolConfig, QueueDiscipline};
-    ///
-    /// let config = PoolConfig::new(4, QueueDiscipline::GlobalFifo)
-    ///     .with_engine(Engine::V2LockFree);
-    /// assert_eq!(config.engine, Engine::V2LockFree);
-    /// ```
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -196,8 +146,10 @@ impl PoolConfig {
     }
 
     /// Checks that this configuration can run at least one job: a
-    /// non-empty pool, and — under [`QueueDiscipline::Partitioned`] — a
-    /// mapping whose pool size equals the worker count.
+    /// non-empty pool of at most 255 workers counting the
+    /// [`RecoveryPolicy::GrowPool`] reserve, and — under
+    /// [`QueueDiscipline::Partitioned`] — a mapping whose pool size
+    /// equals the worker count.
     ///
     /// [`ThreadPool::try_new`](crate::ThreadPool::try_new) applies this
     /// check before spawning workers; diagnostic tooling (`rtlint`'s
@@ -211,6 +163,15 @@ impl PoolConfig {
         if self.workers == 0 {
             return Err(crate::ExecError::InvalidConfig {
                 message: "pool needs at least one worker".into(),
+            });
+        }
+        let capacity = self.workers + self.recovery.growth_reserve();
+        if capacity > MAX_WORKERS {
+            return Err(crate::ExecError::InvalidConfig {
+                message: format!(
+                    "the pool supports at most {MAX_WORKERS} workers \
+                     including the growth reserve, got {capacity}"
+                ),
             });
         }
         if let QueueDiscipline::Partitioned(mapping) = &self.discipline {
@@ -249,13 +210,6 @@ mod tests {
             c.clone().with_backend(SyncBackend::Spin).backend,
             SyncBackend::Spin
         );
-        assert_eq!(c.engine, Engine::V1Condvar);
-        assert_eq!(
-            c.clone().with_engine(Engine::V2LockFree).engine,
-            Engine::V2LockFree
-        );
-        assert_eq!(Engine::V1Condvar.as_str(), "v1-condvar");
-        assert_eq!(Engine::V2LockFree.as_str(), "v2-lockfree");
         assert!(c.with_trace().record_trace);
     }
 
@@ -266,6 +220,15 @@ mod tests {
             .is_ok());
         assert!(matches!(
             PoolConfig::new(0, QueueDiscipline::GlobalFifo).validate(),
+            Err(crate::ExecError::InvalidConfig { .. })
+        ));
+        assert!(PoolConfig::new(255, QueueDiscipline::GlobalFifo)
+            .validate()
+            .is_ok());
+        assert!(matches!(
+            PoolConfig::new(255, QueueDiscipline::GlobalFifo)
+                .with_recovery(RecoveryPolicy::GrowPool { reserve: 1 })
+                .validate(),
             Err(crate::ExecError::InvalidConfig { .. })
         ));
     }

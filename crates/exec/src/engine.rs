@@ -1,18 +1,12 @@
-//! The v2 dispatch engine: lock-free injector/stealer queues with atomic
-//! sequence-count parking barriers.
-//!
-//! The v1 engine (`pool.rs`) serializes every dispatch decision under one
-//! pool mutex and wakes workers with a broadcast condvar — faithful to
-//! Listing 1 of the paper, but every node completion pays a lock
-//! round-trip plus an `m`-wide thundering herd. This engine removes both
-//! costs from the dispatch hot path:
+//! The dispatch engine behind [`ThreadPool`](crate::ThreadPool):
+//! lock-free injector/stealer queues with atomic parking.
 //!
 //! * ready nodes travel through **lock-free queues** (a bounded MPMC
 //!   injector for the global discipline, Chase-Lev deques plus an
 //!   injector for work stealing, per-worker injectors for partitioned);
 //! * all bookkeeping the exact stall detector needs lives in **one packed
 //!   `AtomicU64`** (`queued | executing | suspended | fake | ready_joins`)
-//!   so a single load yields a consistent snapshot;
+//!   so a single load yields a consistent snapshot of the counts;
 //! * idle workers sleep via **atomic parking** (`thread::park`) and are
 //!   woken *individually*: a completion that readies one node unparks
 //!   exactly one worker instead of broadcasting to all `m`.
@@ -43,6 +37,8 @@
 //! the node and the consumer un-parks itself). There is no interleaving
 //! in which the node is pushed, the worker sleeps, and nobody is woken.
 //!
+//! ## The counter protocol
+//!
 //! The stall detector's soundness relies on one invariant: at every
 //! instant of a node hand-off, the counter shows the node in `queued`
 //! or its worker in `executing` (or both) — never neither. The fetch
@@ -54,16 +50,61 @@
 //! * **Global / work stealing** post-swaps — a successful pop is
 //!   followed by one `fetch_add(EXEC_ONE − QUEUED_ONE)`, atomically
 //!   moving the node from `queued` to `executing`;
-//! * a **completer** publishes all ready successors with a single
-//!   folded `fetch_add(n × QUEUED_ONE)` while still counted
-//!   `executing`, then either *chains* — pops its next node physically
-//!   and converts with `fetch_sub(QUEUED_ONE)`, staying in `executing`
-//!   throughout (the steady state costs one counter RMW per node) — or
-//!   leaves `executing` once nothing is fetchable.
+//! * a **completer** advances `ticket`, then publishes all ready
+//!   successors with a single folded `fetch_add(n × QUEUED_ONE)` while
+//!   still counted `executing`, then either *chains* — pops its next
+//!   node physically and converts with `fetch_sub(QUEUED_ONE)`, staying
+//!   in `executing` throughout (the steady state costs one counter RMW
+//!   per node) — or leaves `executing` once nothing is fetchable.
 //!
 //! Any in-flight transfer therefore shows `queued ≥ 1` or
 //! `executing ≥ 1` to the detector, so "no worker executing, nothing
 //! fetchable" can never be observed mid-handoff.
+//!
+//! ## The stall check
+//!
+//! [`maybe_stall_locked`] declares a stall when nobody executes, no join
+//! is ready, and no queued node is fetchable by a worker that is not
+//! suspended. It runs under `ctl`, which every suspension, wake and
+//! growth step also takes, so suspension flags and the active worker
+//! count hold still while it runs. The queues do not: fetches and
+//! publishes are lock-free.
+//!
+//! For the global and work-stealing disciplines fetchability follows
+//! from the counter alone. The partitioned check must also scan the
+//! per-owner injectors, and a scan is not atomic with a counter load.
+//! Reading `ctr` once and then scanning lets an owner pre-increment and
+//! pop between the two: the load says `executing = 0, queued = 1`, the
+//! scan finds every queue empty, and a running job is declared stalled.
+//! Likewise the sink can complete between the `ticket` load and the
+//! `ctr` load, and a finished job is declared stalled. So the check
+//! reads `ticket` and `ctr` before the scan and again after it, and
+//! decides only if both are unchanged. Equal values prove the scan saw
+//! the queues of one instant:
+//!
+//! * no pop succeeded in between — a pop pre-increments `executing`
+//!   (the first load saw 0) and lowers `queued`, and `queued` rises again
+//!   only by a completer's publish, which follows its `ticket` advance;
+//! * no push landed in between — a completer stays `executing` from its
+//!   `ticket` advance until its pushes are done, so its pushes either
+//!   finished before the first load or move `ticket` after it.
+//!
+//! **Liveness.** A bail-out leaves the verdict to the worker whose action
+//! changed `ctr` or `ticket`, because every action that can lead to a
+//! stall ends in a check by its actor: a worker that leaves `executing`
+//! without a next node re-reads `ctr` before it parks and runs the check
+//! when it sees `executing = 0` and no ready join (if it sees another
+//! executor, that one re-checks when it leaves); a worker that suspends
+//! on a barrier, or by an injected suspension, runs the check under
+//! `ctl` before it waits; a completer stays `executing` and ends in one
+//! of these paths. Since `ctl` serializes checks, the actor's check runs
+//! after the bailed-out one. In a genuine stall (Figure 1(c)) nothing
+//! moves after the last such action, so that actor's two reads agree
+//! and the stall is declared. `tests/stall_model.rs` explores every
+//! interleaving of this protocol for up to three workers and checks
+//! both directions: no false stall, no missed stall.
+//!
+//! ## Wake-ups
 //!
 //! Wake-ups are **ramped, not broadcast**: a completion unparks at most
 //! one worker however many successors it readied, and each worker that
@@ -72,6 +113,16 @@
 //! wide fan-outs the recruitment doubles the active set per dispatch
 //! round while saving the per-job `m`-wide futex storm that broadcast
 //! wakes cost at every fork.
+//!
+//! ## Freeing job state
+//!
+//! Workers never drop their handle on a job's [`JobCore`]: they push it
+//! onto the pool slot's `retired` list, which the submitting thread
+//! empties. The last handle, and with it every per-job allocation (the
+//! graph copy, queues, counters, spans), is therefore freed on the thread
+//! that allocated it. Frees on worker threads would be kept in each
+//! worker's allocator cache instead — one cache per worker of every
+//! pool, which a process holding many pools pays in resident memory.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -86,9 +137,38 @@ use rtpool_trace::{assemble, EngineKind, EventKind, LaneRecorder, SeqClock, Time
 
 use crate::config::{PoolConfig, QueueDiscipline};
 use crate::error::ExecError;
-use crate::pool::{busy_work, dur_nanos, panic_message, u32c, FailedAttempt};
+use crate::pool::FailedAttempt;
 use crate::recovery::{RecoveryEvent, RecoveryPolicy};
 use crate::report::{JobReport, NodeSpan};
+
+/// Saturating index conversion for trace events.
+fn u32c(v: usize) -> u32 {
+    u32::try_from(v).unwrap_or(u32::MAX)
+}
+
+/// Saturating nanosecond conversion for trace timestamps.
+fn dur_nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Extracts a printable message from a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
+/// Simulates `wcet` units of sequential work.
+fn busy_work(wcet: u64, time_scale: Duration) {
+    if time_scale.is_zero() || wcet == 0 {
+        return;
+    }
+    thread::sleep(time_scale.saturating_mul(u32::try_from(wcet).unwrap_or(u32::MAX)));
+}
 
 // ---------------------------------------------------------------------
 // Packed dispatch counter: queued:24 | executing:8 | suspended:8 |
@@ -128,25 +208,26 @@ const ACTIVE: u32 = 0;
 const PARKED: u32 = 1;
 const NOTIFIED: u32 = 2;
 
-/// The v2 engine's 8-bit `executing`/`suspended` counter fields bound the
-/// worker count (permanent plus growth reserve).
-const MAX_WORKERS_V2: usize = 255;
+/// The 8-bit `executing`/`suspended` counter fields bound the worker
+/// count (permanent plus growth reserve).
+pub(crate) const MAX_WORKERS: usize = 255;
 
 /// Spin-loop hint iterations between control-lock re-acquisitions of a
-/// busy-waiting worker ([`crate::SyncBackend::Spin`]); see the
-/// identically-motivated constant in the v1 engine.
-const SPIN_BATCH_V2: u32 = 64;
+/// busy-waiting worker ([`crate::SyncBackend::Spin`]). Large enough that
+/// `ctl` is not hammered, small enough that a barrier opening is
+/// observed promptly (the whole point of spinning).
+const SPIN_BATCH: u32 = 64;
 
 /// Largest graph the 16-bit `ready_joins` field can serve.
-const MAX_NODES_V2: usize = (1 << 16) - 1;
+pub(crate) const MAX_NODES: usize = (1 << 16) - 1;
 
 // ---------------------------------------------------------------------
 // Pool shell: permanent workers + a job slot they watch.
 // ---------------------------------------------------------------------
 
-/// The v2 engine behind the [`ThreadPool`](crate::ThreadPool) facade.
-pub(crate) struct V2Pool {
-    shared: Arc<Shared2>,
+/// The engine behind the [`ThreadPool`](crate::ThreadPool) facade.
+pub(crate) struct Dispatcher {
+    shared: Arc<Shared>,
     handles: Vec<thread::JoinHandle<()>>,
     /// Epoch-bound rescue workers spawned by `GrowPool` recovery; they
     /// retire when their job ends and are joined on drop.
@@ -154,7 +235,7 @@ pub(crate) struct V2Pool {
     next_epoch: u64,
 }
 
-struct Shared2 {
+struct Shared {
     config: PoolConfig,
     slot: Mutex<JobSlot>,
     /// Wakes idle permanent workers when a job is installed (or the pool
@@ -165,6 +246,9 @@ struct Shared2 {
 struct JobSlot {
     shutdown: bool,
     job: Option<Arc<JobCore>>,
+    /// Job handles workers have finished with, dropped by the submitter
+    /// (see "Freeing job state" in the module docs).
+    retired: Vec<Arc<JobCore>>,
 }
 
 /// Terminal/liveness state of one job, guarded by `JobCore::ctl`.
@@ -195,7 +279,7 @@ struct TraceCore {
 }
 
 /// The ready-node queues of one job.
-enum QueuesV2 {
+enum Queues {
     /// One shared MPMC injector (global FIFO discipline).
     Global(Injector<usize>),
     /// One injector per worker slot, fed by the node-to-thread mapping.
@@ -227,7 +311,7 @@ struct JobCore {
     /// finish, stall, panic, and watchdog abort. Workers poll it.
     done: AtomicBool,
     pending: Vec<AtomicU32>,
-    queues: QueuesV2,
+    queues: Queues,
     parking: Vec<AtomicU32>,
     threads: Vec<Mutex<Option<Thread>>>,
     worker_suspended: Vec<AtomicBool>,
@@ -267,15 +351,15 @@ impl JobCore {
             .collect();
         let queue_cap = n + capacity + 2;
         let queues = match &config.discipline {
-            QueueDiscipline::GlobalFifo => QueuesV2::Global(Injector::new(queue_cap)),
+            QueueDiscipline::GlobalFifo => Queues::Global(Injector::new(queue_cap)),
             QueueDiscipline::Partitioned(_) => {
-                QueuesV2::Partitioned((0..capacity).map(|_| Injector::new(queue_cap)).collect())
+                Queues::Partitioned((0..capacity).map(|_| Injector::new(queue_cap)).collect())
             }
             QueueDiscipline::WorkStealing { .. } => {
                 let owned: Vec<CbWorker<usize>> =
                     (0..capacity).map(|_| CbWorker::new_lifo(n + 2)).collect();
                 let stealers = owned.iter().map(CbWorker::stealer).collect();
-                QueuesV2::WorkStealing {
+                Queues::WorkStealing {
                     injector: Injector::new(queue_cap),
                     deques: owned.into_iter().map(|d| Mutex::new(Some(d))).collect(),
                     stealers,
@@ -370,26 +454,20 @@ impl JobCore {
     }
 }
 
-impl V2Pool {
+impl Dispatcher {
     /// Spawns the permanent workers. The configuration was validated by
-    /// [`ThreadPool::try_new`](crate::ThreadPool::try_new); this adds the
-    /// v2-specific counter-width bound.
-    pub(crate) fn new(config: PoolConfig) -> Result<Self, ExecError> {
+    /// [`ThreadPool::try_new`](crate::ThreadPool::try_new).
+    pub(crate) fn new(config: PoolConfig) -> Self {
         let capacity = config.workers + config.recovery.growth_reserve();
-        if capacity > MAX_WORKERS_V2 {
-            return Err(ExecError::InvalidConfig {
-                message: format!(
-                    "the v2 engine supports at most {MAX_WORKERS_V2} workers \
-                     including the growth reserve, got {capacity}"
-                ),
-            });
-        }
         let workers = config.workers;
-        let shared = Arc::new(Shared2 {
+        let shared = Arc::new(Shared {
             config,
             slot: Mutex::new(JobSlot {
                 shutdown: false,
                 job: None,
+                // One handle per worker slot and job; room for two jobs
+                // keeps pushes on worker threads from reallocating.
+                retired: Vec::with_capacity(2 * capacity),
             }),
             cv: Condvar::new(),
         });
@@ -398,45 +476,38 @@ impl V2Pool {
                 let s = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("rtpool-worker-{id}"))
-                    .spawn(move || worker_loop_v2(&s, id))
+                    .spawn(move || worker_loop(&s, id))
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        Ok(V2Pool {
+        Dispatcher {
             shared,
             handles,
             rescue_handles: Vec::new(),
             next_epoch: 0,
-        })
+        }
     }
 
     pub(crate) fn config(&self) -> &PoolConfig {
         &self.shared.config
     }
 
+    /// Empties the job slot and drops the job handles workers have
+    /// handed back, on this (the submitting) thread.
     fn clear_slot(&self) {
-        self.shared.slot.lock().job = None;
+        let mut slot = self.shared.slot.lock();
+        slot.job = None;
+        slot.retired.clear();
     }
 
-    /// One execution attempt; mirrors the v1 submitter loop (growth
-    /// requests, terminal collection, watchdog) on the v2 state.
+    /// One execution attempt: installs the job, then serves growth
+    /// requests, collects the terminal state, and runs the watchdog.
     pub(crate) fn run_attempt(
         &mut self,
         dag: &Arc<Dag>,
         attempt: usize,
         events: &mut Vec<RecoveryEvent>,
     ) -> Result<JobReport, FailedAttempt> {
-        if dag.node_count() > MAX_NODES_V2 {
-            return Err(FailedAttempt {
-                error: ExecError::IncompatibleJob {
-                    message: format!(
-                        "the v2 engine supports graphs up to {MAX_NODES_V2} nodes, got {}",
-                        dag.node_count()
-                    ),
-                },
-                trace: None,
-            });
-        }
         let epoch = self.next_epoch;
         self.next_epoch += 1;
         let core = Arc::new(JobCore::new(
@@ -445,7 +516,7 @@ impl V2Pool {
             &self.shared.config,
             std::mem::take(events),
         ));
-        enqueue_v2(&self.shared, &core, dag.source(), None);
+        enqueue(&self.shared, &core, dag.source(), None);
         {
             let mut slot = self.shared.slot.lock();
             debug_assert!(slot.job.is_none(), "runs are serialized by &mut self");
@@ -505,7 +576,10 @@ impl V2Pool {
                         let c2 = Arc::clone(&core);
                         let handle = thread::Builder::new()
                             .name(format!("rtpool-rescuer-{id}-e{epoch}"))
-                            .spawn(move || serve(&s, &c2, id))
+                            .spawn(move || {
+                                serve(&s, &c2, id);
+                                s.slot.lock().retired.push(c2);
+                            })
                             .expect("failed to spawn rescue worker thread");
                         self.rescue_handles.push(handle);
                     }
@@ -539,8 +613,8 @@ impl V2Pool {
                 Status::Panicked { node, message } => {
                     let (node, message) = (*node, message.clone());
                     // Let siblings that are mid-body record their terminal
-                    // trace events before assembly (v1 parity).
-                    drain_executing_v2(&core, &mut ctl, watchdog);
+                    // trace events before assembly.
+                    drain_executing(&core, &mut ctl, watchdog);
                     *events = std::mem::take(&mut ctl.events);
                     drop(ctl);
                     let trace = core.take_trace();
@@ -577,7 +651,7 @@ impl V2Pool {
                 && !ctl.grow_pending
                 && unpack(core.ctr.load(SeqCst)).fake == 0
             {
-                drain_executing_v2(&core, &mut ctl, watchdog);
+                drain_executing(&core, &mut ctl, watchdog);
                 if matches!(ctl.status, Status::Running)
                     && !ctl.grow_pending
                     && core.ticket.load(SeqCst) == last_progress
@@ -600,7 +674,7 @@ impl V2Pool {
     }
 }
 
-impl Drop for V2Pool {
+impl Drop for Dispatcher {
     fn drop(&mut self) {
         {
             let mut slot = self.shared.slot.lock();
@@ -632,7 +706,7 @@ fn collect_completions(core: &JobCore, executed: usize) -> (Vec<usize>, Vec<Node
 /// Waits — bounded by one watchdog budget — for mid-body workers to
 /// record their terminal events. Polls (5 ms steps) because a
 /// fault-injected lost wakeup must not turn this into a full sleep.
-fn drain_executing_v2(core: &JobCore, ctl: &mut MutexGuard<'_, Ctl>, watchdog: Duration) {
+fn drain_executing(core: &JobCore, ctl: &mut MutexGuard<'_, Ctl>, watchdog: Duration) {
     let deadline = Instant::now() + watchdog;
     while unpack(core.ctr.load(SeqCst)).executing > 0 {
         let now = Instant::now();
@@ -650,7 +724,7 @@ fn drain_executing_v2(core: &JobCore, ctl: &mut MutexGuard<'_, Ctl>, watchdog: D
 
 /// Permanent-worker body: watch the job slot, serve each installed job
 /// to its end, repeat until shutdown.
-fn worker_loop_v2(shared: &Arc<Shared2>, id: usize) {
+fn worker_loop(shared: &Arc<Shared>, id: usize) {
     let mut slot = shared.slot.lock();
     loop {
         if slot.shutdown {
@@ -662,6 +736,7 @@ fn worker_loop_v2(shared: &Arc<Shared2>, id: usize) {
                 drop(slot);
                 serve(shared, &core, id);
                 slot = shared.slot.lock();
+                slot.retired.push(core);
             }
             None => shared.cv.wait(&mut slot),
         }
@@ -671,14 +746,14 @@ fn worker_loop_v2(shared: &Arc<Shared2>, id: usize) {
 /// Serves one job on worker slot `worker` until the job reaches a
 /// terminal state. Also the rescue-worker body (rescuers serve exactly
 /// one job and retire).
-fn serve(shared: &Shared2, core: &Arc<JobCore>, worker: usize) {
+fn serve(shared: &Shared, core: &Arc<JobCore>, worker: usize) {
     *core.threads[worker].lock() = Some(thread::current());
     let local = match &core.queues {
-        QueuesV2::WorkStealing { deques, .. } => deques[worker].lock().take(),
+        Queues::WorkStealing { deques, .. } => deques[worker].lock().take(),
         _ => None,
     };
     // Base workers start "parked" in the trace (the job-release events
-    // park them); rescuers are born active (v1 parity).
+    // park them); rescuers are born active.
     let mut parked = worker < core.base_workers;
     loop {
         if core.done.load(SeqCst) {
@@ -691,8 +766,7 @@ fn serve(shared: &Shared2, core: &Arc<JobCore>, worker: usize) {
             // with observed demand instead of a thundering O(m) futex
             // storm per wide fan-out. The partitioned discipline keeps
             // exact per-owner wakes instead.
-            if f.depth > 0 && !matches!(core.queues, QueuesV2::Partitioned(_)) && !unpark_one(core)
-            {
+            if f.depth > 0 && !matches!(core.queues, Queues::Partitioned(_)) && !unpark_one(core) {
                 shared.cv.notify_one();
             }
             if parked {
@@ -766,9 +840,8 @@ fn serve(shared: &Shared2, core: &Arc<JobCore>, worker: usize) {
     }
 }
 
-/// A fetched node plus dispatch metadata for the trace (mirrors the v1
-/// `Fetched`).
-struct FetchedV2 {
+/// A fetched node plus dispatch metadata for the trace.
+struct Fetched {
     node: NodeId,
     /// Depth of the source queue right after this fetch.
     depth: u32,
@@ -789,8 +862,8 @@ struct FetchedV2 {
 ///   count before pushing, consumers decrement only here), so a single
 ///   combined RMW after a successful pop suffices and a failed fetch
 ///   costs no atomic write at all.
-fn try_fetch(core: &JobCore, worker: usize, local: Option<&CbWorker<usize>>) -> Option<FetchedV2> {
-    if matches!(core.queues, QueuesV2::Partitioned(_)) {
+fn try_fetch(core: &JobCore, worker: usize, local: Option<&CbWorker<usize>>) -> Option<Fetched> {
+    if matches!(core.queues, Queues::Partitioned(_)) {
         core.ctr.fetch_add(EXEC_ONE, SeqCst);
         match pop_physical(core, worker, local) {
             Some(f) => {
@@ -811,16 +884,12 @@ fn try_fetch(core: &JobCore, worker: usize, local: Option<&CbWorker<usize>>) -> 
 
 /// Canonical lock-free fetch: local pop → injector steal → steal-half
 /// from the richest peer (work stealing), or the discipline's queue.
-fn pop_physical(
-    core: &JobCore,
-    worker: usize,
-    local: Option<&CbWorker<usize>>,
-) -> Option<FetchedV2> {
+fn pop_physical(core: &JobCore, worker: usize, local: Option<&CbWorker<usize>>) -> Option<Fetched> {
     match &core.queues {
-        QueuesV2::Global(inj) => loop {
+        Queues::Global(inj) => loop {
             match inj.steal() {
                 Steal::Success(v) => {
-                    return Some(FetchedV2 {
+                    return Some(Fetched {
                         node: NodeId::from_index(v),
                         depth: u32c(inj.len()),
                         steal: None,
@@ -830,12 +899,12 @@ fn pop_physical(
                 Steal::Retry => std::hint::spin_loop(),
             }
         },
-        QueuesV2::Partitioned(qs) => {
+        Queues::Partitioned(qs) => {
             if worker < core.base_workers {
                 loop {
                     match qs[worker].steal() {
                         Steal::Success(v) => {
-                            return Some(FetchedV2 {
+                            return Some(Fetched {
                                 node: NodeId::from_index(v),
                                 depth: u32c(qs[worker].len()),
                                 steal: None,
@@ -856,7 +925,7 @@ fn pop_physical(
                         }
                         match q.steal() {
                             Steal::Success(v) => {
-                                return Some(FetchedV2 {
+                                return Some(Fetched {
                                     node: NodeId::from_index(v),
                                     depth: u32c(q.len()),
                                     steal: Some((Some(u32c(w)), 1)),
@@ -873,12 +942,12 @@ fn pop_physical(
                 }
             }
         }
-        QueuesV2::WorkStealing {
+        Queues::WorkStealing {
             injector, stealers, ..
         } => {
             let local = local.expect("work-stealing workers hold their deque");
             if let Some(v) = local.pop() {
-                return Some(FetchedV2 {
+                return Some(Fetched {
                     node: NodeId::from_index(v),
                     depth: u32c(local.len()),
                     steal: None,
@@ -887,7 +956,7 @@ fn pop_physical(
             loop {
                 match injector.steal_batch_and_pop(local) {
                     Steal::Success(v) => {
-                        return Some(FetchedV2 {
+                        return Some(Fetched {
                             node: NodeId::from_index(v),
                             depth: u32c(injector.len()),
                             steal: Some((None, u32c(local.len() + 1))),
@@ -911,7 +980,7 @@ fn pop_physical(
                 let (victim, _) = best?;
                 match stealers[victim].steal_batch_and_pop(local) {
                     Steal::Success(v) => {
-                        return Some(FetchedV2 {
+                        return Some(Fetched {
                             node: NodeId::from_index(v),
                             depth: u32c(stealers[victim].len()),
                             steal: Some((Some(u32c(victim)), u32c(local.len() + 1))),
@@ -930,8 +999,8 @@ fn pop_physical(
 /// worker could fetch physically visible?
 fn has_visible_work(core: &JobCore, worker: usize, local: Option<&CbWorker<usize>>) -> bool {
     match &core.queues {
-        QueuesV2::Global(inj) => !inj.is_empty(),
-        QueuesV2::Partitioned(qs) => {
+        Queues::Global(inj) => !inj.is_empty(),
+        Queues::Partitioned(qs) => {
             if worker < core.base_workers {
                 !qs[worker].is_empty()
             } else {
@@ -939,7 +1008,7 @@ fn has_visible_work(core: &JobCore, worker: usize, local: Option<&CbWorker<usize
                     .any(|w| core.worker_suspended[w].load(SeqCst) && !qs[w].is_empty())
             }
         }
-        QueuesV2::WorkStealing {
+        Queues::WorkStealing {
             injector, stealers, ..
         } => {
             local.is_some_and(|l| !l.is_empty())
@@ -960,8 +1029,8 @@ fn has_visible_work(core: &JobCore, worker: usize, local: Option<&CbWorker<usize
 /// stall detector and the fetch protocol rely on that order). Returns
 /// the owning worker under the partitioned discipline so the caller can
 /// wake the right thread. Does not wake anyone itself.
-fn enqueue_v2(
-    shared: &Shared2,
+fn enqueue(
+    shared: &Shared,
     core: &JobCore,
     node: NodeId,
     local: Option<&CbWorker<usize>>,
@@ -971,20 +1040,20 @@ fn enqueue_v2(
 }
 
 /// Physically pushes a node already counted queued by the caller (either
-/// [`enqueue_v2`] or the folded completion update in [`execute_chain`]).
+/// [`enqueue`] or the folded completion update in [`execute_chain`]).
 /// Returns the owning worker under the partitioned discipline.
 fn push_ready(
-    shared: &Shared2,
+    shared: &Shared,
     core: &JobCore,
     node: NodeId,
     local: Option<&CbWorker<usize>>,
 ) -> Option<usize> {
     match &core.queues {
-        QueuesV2::Global(inj) => {
+        Queues::Global(inj) => {
             inj.push(node.index());
             None
         }
-        QueuesV2::Partitioned(qs) => {
+        Queues::Partitioned(qs) => {
             let QueueDiscipline::Partitioned(mapping) = &shared.config.discipline else {
                 unreachable!("partitioned queues imply a partitioned discipline");
             };
@@ -992,7 +1061,7 @@ fn push_ready(
             qs[owner].push(node.index());
             Some(owner)
         }
-        QueuesV2::WorkStealing { injector, .. } => {
+        Queues::WorkStealing { injector, .. } => {
             match local {
                 // A worker pushes the nodes it spawns onto its own deque
                 // (LIFO pop, Eigen-style); the submitter seeds the
@@ -1021,8 +1090,8 @@ fn try_unpark(core: &JobCore, w: usize) -> bool {
     false
 }
 
-/// Wakes one parked worker — the targeted replacement for the v1
-/// broadcast `notify_all`. Returns `false` when nobody was parked: by
+/// Wakes one parked worker — the targeted replacement for a broadcast
+/// `notify_all`. Returns `false` when nobody was parked: by
 /// the Dekker handshake, any worker parking *after* this scan re-checks
 /// the queues (whose items were pushed before the scan) and stays awake,
 /// so the caller may stop issuing wakes for already-pushed work.
@@ -1061,7 +1130,7 @@ fn unpark_target(core: &JobCore, target: usize) {
 /// untouched: any worker parking *after* the push re-checks the queues
 /// (Dekker), so the single wake can never be the lost one. Partitioned
 /// wakes stay exact — one targeted unpark per ready node's owner.
-fn deliver_wakes(shared: &Shared2, core: &JobCore, unparks: usize, owner_wakes: &[usize]) {
+fn deliver_wakes(shared: &Shared, core: &JobCore, unparks: usize, owner_wakes: &[usize]) {
     if unparks > 0 && !unpark_one(core) {
         // Nobody attached to the job is parked: recruit a worker still
         // waiting on the job slot (no-op once all are attached).
@@ -1085,29 +1154,32 @@ fn unpark_all(core: &JobCore) {
 }
 
 // ---------------------------------------------------------------------
-// Stall detection (exact, same predicate as v1).
+// Stall detection (exact; see "The stall check" in the module docs).
 // ---------------------------------------------------------------------
 
-/// Declares a stall, requests growth, or returns, from one consistent
-/// counter snapshot. Must hold `ctl` (all suspension transitions happen
-/// under it, and the pre-increment fetch protocol guarantees in-flight
-/// dispatches show `executing ≥ 1`).
+/// Declares a stall, requests growth, or returns. Must hold `ctl` (all
+/// suspension transitions happen under it). The verdict is taken only
+/// if `ticket` and `ctr` read the same before and after the queue scan,
+/// which proves the scan consistent; otherwise the worker that moved
+/// them re-runs the check (see "The stall check" in the module docs).
 fn maybe_stall_locked(core: &JobCore, ctl: &mut Ctl) {
     if !matches!(ctl.status, Status::Running) || ctl.grow_pending {
         return;
     }
-    if !core.work_remains() {
+    let ticket = core.ticket.load(SeqCst);
+    if ticket >= core.dag.node_count() {
         return;
     }
-    let c = unpack(core.ctr.load(SeqCst));
+    let raw = core.ctr.load(SeqCst);
+    let c = unpack(raw);
     if c.executing > 0 || c.ready_joins > 0 {
         return;
     }
     let active = core.active.load(SeqCst);
     let queued_work = c.queued > 0;
     let fetchable = match &core.queues {
-        QueuesV2::Global(_) | QueuesV2::WorkStealing { .. } => queued_work && c.suspended < active,
-        QueuesV2::Partitioned(qs) => {
+        Queues::Global(_) | Queues::WorkStealing { .. } => queued_work && c.suspended < active,
+        Queues::Partitioned(qs) => {
             let owner_can = (0..core.base_workers)
                 .any(|w| !core.worker_suspended[w].load(SeqCst) && !qs[w].is_empty());
             let rescuer_can = (core.base_workers..active)
@@ -1117,7 +1189,7 @@ fn maybe_stall_locked(core: &JobCore, ctl: &mut Ctl) {
             owner_can || rescuer_can
         }
     };
-    if fetchable {
+    if fetchable || core.ctr.load(SeqCst) != raw || core.ticket.load(SeqCst) != ticket {
         return;
     }
     if ctl.growth_budget > 0 && queued_work {
@@ -1133,7 +1205,7 @@ fn maybe_stall_locked(core: &JobCore, ctl: &mut Ctl) {
     }
     ctl.status = Status::Stalled {
         suspended: c.suspended,
-        executed: core.ticket.load(SeqCst),
+        executed: ticket,
     };
     core.rec_ctl(EventKind::StallDetected {
         task: 0,
@@ -1162,7 +1234,7 @@ fn note_suspension(core: &JobCore, ctl: &mut Ctl) {
 /// opens, then the `BJ` runs here). Returns when the chain ends or the
 /// job reaches a terminal state.
 fn execute_chain(
-    shared: &Shared2,
+    shared: &Shared,
     core: &Arc<JobCore>,
     worker: usize,
     mut node: NodeId,
@@ -1190,7 +1262,7 @@ fn execute_chain(
                     node: Some(u32c(node.index())),
                 });
             }
-            if !fake_suspend_v2(core, worker, d, node) {
+            if !fake_suspend(core, worker, d, node) {
                 return;
             }
         }
@@ -1470,7 +1542,7 @@ fn execute_chain(
                 // batch of cycles, re-acquire, re-check. The worker
                 // stays out of the parked set the whole time.
                 drop(ctl);
-                for _ in 0..SPIN_BATCH_V2 {
+                for _ in 0..SPIN_BATCH {
                     std::hint::spin_loop();
                 }
                 ctl = core.ctl.lock();
@@ -1522,7 +1594,7 @@ fn execute_chain(
 /// Artificially suspends `worker` for `dur`, accounted exactly like a
 /// barrier suspension so the stall detector and recovery reason about
 /// it. Returns `false` if the job reached a terminal state meanwhile.
-fn fake_suspend_v2(core: &JobCore, worker: usize, dur: Duration, node: NodeId) -> bool {
+fn fake_suspend(core: &JobCore, worker: usize, dur: Duration, node: NodeId) -> bool {
     let mut ctl = core.ctl.lock();
     core.ctr.fetch_add(SUSP_ONE + FAKE_ONE, SeqCst);
     core.ctr.fetch_sub(EXEC_ONE, SeqCst);

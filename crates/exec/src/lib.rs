@@ -27,13 +27,13 @@
 //!   the pool with reserve workers (restoring the available concurrency
 //!   `l̄(τᵢ) = m − b̄(τᵢ)` of Section 4). Recovery actions are recorded in
 //!   [`JobReport::recovery_events`];
-//! * **two dispatch engines** behind one API: the default
-//!   [`Engine::V1Condvar`] serializes every dispatch under one pool mutex
-//!   with a broadcast condvar; [`Engine::V2LockFree`] dispatches through
-//!   lock-free Chase-Lev deques and an MPMC injector with atomic
-//!   sequence-count parking, keeping a condvar only for the Listing-1
-//!   blocking-join suspensions the paper's model requires (select with
-//!   [`PoolConfig::with_engine`]).
+//! * **lock-free dispatch**: ready nodes flow through Chase-Lev deques
+//!   and MPMC injectors, idle workers park and are woken one at a time,
+//!   and all stall bookkeeping is one packed atomic counter. A condvar is
+//!   kept only for the Listing-1 blocking-join suspension the paper's
+//!   model requires. A pool supports up to 255 workers (counting the
+//!   [`RecoveryPolicy::GrowPool`] reserve) and graphs of up to 65,535
+//!   nodes.
 //!
 //! This crate is the demonstration substrate for the paper's Figure 1:
 //! the suspension-induced slowdown (inset b) and the two-replica deadlock
@@ -63,7 +63,7 @@
 
 pub mod certified;
 mod config;
-mod engine_v2;
+mod engine;
 mod error;
 mod fault;
 mod pool;
@@ -71,7 +71,7 @@ mod recovery;
 mod report;
 
 pub use certified::{CertifiedConfig, DeadlockFree, StaticNode, StaticTask};
-pub use config::{Engine, PoolConfig, QueueDiscipline};
+pub use config::{PoolConfig, QueueDiscipline};
 pub use error::ExecError;
 pub use fault::{
     FaultKind, FaultPlan, FaultRule, InjectionPoint, ServiceFaultKind, ServiceFaultRule,

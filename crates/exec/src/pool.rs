@@ -1,23 +1,18 @@
-//! The worker pool: fetch–execute–complete loops with condition-variable
-//! barriers, exact stall detection, panic isolation, fault injection, and
-//! recovery (retry / pool growth).
+//! The public pool facade: construction, the per-job retry loop of the
+//! [`RecoveryPolicy`](crate::RecoveryPolicy), and the trace slots of
+//! failed attempts. Dispatch itself lives in the `engine` module.
 
-use std::collections::VecDeque;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use rtpool_graph::{Dag, NodeId, NodeKind};
-use rtpool_trace::{assemble, EngineKind, EventKind, LaneRecorder, SeqClock, TimeUnit, Trace};
+use rtpool_graph::Dag;
+use rtpool_trace::Trace;
 
-use crate::config::{Engine, PoolConfig, QueueDiscipline};
-use crate::engine_v2::V2Pool;
+use crate::config::{PoolConfig, QueueDiscipline};
+use crate::engine::{Dispatcher, MAX_NODES};
 use crate::error::ExecError;
-use crate::fault::FaultPlan;
-use crate::recovery::{RecoveryEvent, RecoveryPolicy, RetryCause};
-use crate::report::{JobReport, NodeSpan};
+use crate::recovery::{RecoveryEvent, RetryCause};
+use crate::report::JobReport;
 
 /// A pool of native worker threads executing DAG jobs with blocking
 /// fork/join semantics.
@@ -37,17 +32,15 @@ use crate::report::{JobReport, NodeSpan};
 ///   consistent and subsequent jobs run normally.
 ///
 /// Fault injection for chaos testing is available through
-/// [`FaultPlan`] (see [`PoolConfig::with_faults`]).
+/// [`FaultPlan`](crate::FaultPlan) (see [`PoolConfig::with_faults`]).
 ///
-/// The pool runs on one of two dispatch engines selected by
-/// [`PoolConfig::with_engine`](crate::PoolConfig::with_engine): the
-/// default mutex/condvar engine ([`Engine::V1Condvar`]) or the lock-free
-/// injector/stealer engine ([`Engine::V2LockFree`]). Both expose exactly
-/// this API and the same execution semantics.
+/// Ready nodes reach workers through lock-free queues; a condvar is
+/// kept only for the Listing-1 blocking-join suspension (see the crate
+/// docs).
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct ThreadPool {
-    imp: PoolImpl,
+    dispatcher: Dispatcher,
     /// Event trace of the most recent *failed* attempt (stall, panic, or
     /// watchdog), kept because the failing `run` returns only an error.
     last_trace: Option<Trace>,
@@ -56,266 +49,29 @@ pub struct ThreadPool {
     attempt_traces: Vec<Trace>,
 }
 
-/// The engine actually executing jobs behind the [`ThreadPool`] facade.
-enum PoolImpl {
-    V1(V1Pool),
-    V2(V2Pool),
-}
-
 /// Outcome of one failed execution attempt: the error plus the attempt's
-/// event trace (when recording was on). Returned by the engines so the
-/// shared retry loop can retain *every* attempt's trace instead of only
+/// event trace (when recording was on). Returned by the dispatcher so the
+/// retry loop can retain *every* attempt's trace instead of only
 /// the last one.
 pub(crate) struct FailedAttempt {
     pub(crate) error: ExecError,
     pub(crate) trace: Option<Trace>,
 }
 
-/// The v1 engine: all dispatch state behind one mutex, all wakeups
-/// through one broadcast condvar.
-struct V1Pool {
-    shared: Arc<Shared>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-struct Shared {
-    config: PoolConfig,
-    state: Mutex<PoolState>,
-    cv: Condvar,
-}
-
-struct PoolState {
-    shutdown: bool,
-    job: Option<Job>,
-    steal_rng: u64,
-    /// Monotonic job counter: a worker that went to sleep while serving
-    /// job `e` must never touch state of job `e+1` (a stalled job can be
-    /// aborted and replaced while workers still sleep on its barriers).
-    next_epoch: u64,
-}
-
-struct Job {
-    epoch: u64,
-    /// Retry attempt (0 = first execution); keys fault-plan decisions.
-    attempt: usize,
-    dag: Arc<Dag>,
-    /// Shared FIFO queue ([`QueueDiscipline::GlobalFifo`]).
-    global: VecDeque<NodeId>,
-    /// Per-worker queues (partitioned / work stealing); grows when
-    /// `GrowPool` recovery adds rescue workers.
-    local: Vec<VecDeque<NodeId>>,
-    pending: Vec<u32>,
-    remaining: usize,
-    /// Workers currently executing a node body (or a just-woken join).
-    executing: usize,
-    /// Workers suspended on a barrier (real or injected).
-    suspended: usize,
-    /// Of `suspended`, those suspended by an injected fault — their
-    /// deadline is guaranteed to expire, so a stall involving them can be
-    /// transient.
-    fake_suspended: usize,
-    worker_suspended: Vec<bool>,
-    /// Smallest observed `total_workers − suspended` (the pool's
-    /// available concurrency `l(t)`).
-    min_available: usize,
-    /// Permanent workers (`config.workers`); indices at or above this are
-    /// epoch-bound rescue workers added by `GrowPool`.
-    base_workers: usize,
-    /// Extra workers `GrowPool` may still add for this attempt.
-    growth_budget: usize,
-    /// The pool runs under a `GrowPool` policy: jobs degrade gracefully
-    /// rather than aborting while an injected suspension is pending.
-    grow_policy: bool,
-    /// A stall was detected and growth should be attempted by the
-    /// submitting thread.
-    grow_pending: bool,
-    /// Joins whose barrier has opened but whose waiter has not resumed.
-    ready_joins: usize,
-    join_ready: Vec<bool>,
-    completion_order: Vec<usize>,
-    spans: Vec<NodeSpan>,
-    events: Vec<RecoveryEvent>,
-    stalled: Option<(usize, usize)>,
-    /// A node body panicked: `(node index, panic message)`.
-    panicked: Option<(usize, String)>,
-    started: Instant,
-    finished: Option<Duration>,
-    /// Event-trace recording state, when `PoolConfig::record_trace` is
-    /// set (`None` otherwise — recording then costs nothing).
-    trace: Option<JobTrace>,
-}
-
-/// Per-job event-trace state in the shared `rtpool-trace` schema. All
-/// recording happens under the pool mutex, so per-lane single-writer
-/// discipline holds trivially; the shared [`SeqClock`] still gives every
-/// event a globally unique, order-preserving sequence number.
-struct JobTrace {
-    clock: SeqClock,
-    /// Lane 0 carries control-plane events (job lifecycle, stall
-    /// detection, recovery actions); lane `w + 1` belongs to worker `w`.
-    lanes: Vec<LaneRecorder>,
-    /// Whether worker `w` was last seen parked (idle in the fetch loop),
-    /// to emit `ThreadPark`/`ThreadUnpark` only on transitions.
-    parked: Vec<bool>,
-}
-
-/// Saturating index conversion for trace events.
-pub(crate) fn u32c(v: usize) -> u32 {
-    u32::try_from(v).unwrap_or(u32::MAX)
-}
-
-/// Saturating nanosecond conversion for trace timestamps.
-pub(crate) fn dur_nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-impl Job {
-    fn new(epoch: u64, attempt: usize, dag: Arc<Dag>, config: &PoolConfig) -> Self {
-        let workers = config.workers;
-        let n = dag.node_count();
-        let pending: Vec<u32> = dag
-            .node_ids()
-            .map(|v| u32::try_from(dag.predecessors(v).len()).expect("in-degree fits u32"))
-            .collect();
-        let trace = config.record_trace.then(|| {
-            let clock = SeqClock::new();
-            let lanes = (0..=workers).map(|_| LaneRecorder::new(&clock)).collect();
-            JobTrace {
-                clock,
-                lanes,
-                parked: vec![true; workers],
-            }
-        });
-        let mut job = Job {
-            epoch,
-            attempt,
-            dag,
-            global: VecDeque::new(),
-            local: vec![VecDeque::new(); workers],
-            pending,
-            remaining: n,
-            executing: 0,
-            suspended: 0,
-            fake_suspended: 0,
-            worker_suspended: vec![false; workers],
-            min_available: workers,
-            base_workers: workers,
-            growth_budget: config.recovery.growth_reserve(),
-            grow_policy: matches!(config.recovery, RecoveryPolicy::GrowPool { .. }),
-            grow_pending: false,
-            ready_joins: 0,
-            join_ready: vec![false; n],
-            completion_order: Vec::with_capacity(n),
-            spans: Vec::with_capacity(n),
-            events: Vec::new(),
-            stalled: None,
-            panicked: None,
-            started: Instant::now(),
-            finished: None,
-            trace,
-        };
-        if job.trace.is_some() {
-            job.rec_ctl(EventKind::JobReleased { task: 0, job: 0 });
-            for w in 0..workers {
-                job.rec_ctl(EventKind::ThreadPark {
-                    task: 0,
-                    thread: u32c(w),
-                });
-            }
-        }
-        job
-    }
-
-    /// Workers currently serving this job (base + attached rescuers).
-    fn total_workers(&self) -> usize {
-        self.worker_suspended.len()
-    }
-
-    fn note_suspension(&mut self) {
-        self.min_available = self
-            .min_available
-            .min(self.total_workers() - self.suspended);
-    }
-
-    /// Records `kind` on `lane`, stamped with nanoseconds since job
-    /// submission. No-op when tracing is off.
-    fn rec_lane(&mut self, lane: usize, kind: EventKind) {
-        let now = self.started.elapsed();
-        if let Some(tr) = self.trace.as_mut() {
-            tr.lanes[lane].record(dur_nanos(now), kind);
-        }
-    }
-
-    /// Records a control-plane event (lane 0).
-    fn rec_ctl(&mut self, kind: EventKind) {
-        self.rec_lane(0, kind);
-    }
-
-    /// Records an event on `worker`'s lane.
-    fn rec_worker(&mut self, worker: usize, kind: EventKind) {
-        self.rec_lane(worker + 1, kind);
-    }
-
-    /// Emits `ThreadUnpark` if `worker` was marked parked.
-    fn rec_unpark(&mut self, worker: usize) {
-        let was_parked = match self.trace.as_mut() {
-            Some(tr) => std::mem::replace(&mut tr.parked[worker], false),
-            None => return,
-        };
-        if was_parked {
-            self.rec_worker(
-                worker,
-                EventKind::ThreadUnpark {
-                    task: 0,
-                    thread: u32c(worker),
-                },
-            );
-        }
-    }
-
-    /// Emits `ThreadPark` if `worker` was not already marked parked.
-    fn rec_park(&mut self, worker: usize) {
-        let was_parked = match self.trace.as_mut() {
-            Some(tr) => std::mem::replace(&mut tr.parked[worker], true),
-            None => return,
-        };
-        if !was_parked {
-            self.rec_worker(
-                worker,
-                EventKind::ThreadPark {
-                    task: 0,
-                    thread: u32c(worker),
-                },
-            );
-        }
-    }
-
-    /// Finalizes the event trace of a finished (or aborted) attempt.
-    fn take_trace(&mut self) -> Option<Trace> {
-        let end = dur_nanos(self.started.elapsed());
-        self.trace.take().map(|tr| {
-            let cores = u32c(tr.lanes.len().saturating_sub(1));
-            assemble(EngineKind::Exec, TimeUnit::Nanos, cores, 1, end, tr.lanes)
-        })
-    }
-}
-
 impl ThreadPool {
-    /// Spawns `config.workers` worker threads on the configured engine.
+    /// Spawns `config.workers` worker threads.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::InvalidConfig`] if `config.workers == 0`, or
-    /// if a [`QueueDiscipline::Partitioned`] mapping's pool size differs
-    /// from the worker count.
+    /// Returns [`ExecError::InvalidConfig`] if `config.workers == 0`, if
+    /// a [`QueueDiscipline::Partitioned`] mapping's pool size differs
+    /// from the worker count, or if the workers plus the
+    /// [`RecoveryPolicy::GrowPool`](crate::RecoveryPolicy::GrowPool)
+    /// reserve exceed 255.
     pub fn try_new(config: PoolConfig) -> Result<Self, ExecError> {
         config.validate()?;
-        let imp = match config.engine {
-            Engine::V1Condvar => PoolImpl::V1(V1Pool::new(config)),
-            Engine::V2LockFree => PoolImpl::V2(V2Pool::new(config)?),
-        };
         Ok(ThreadPool {
-            imp,
+            dispatcher: Dispatcher::new(config),
             last_trace: None,
             attempt_traces: Vec::new(),
         })
@@ -332,10 +88,7 @@ impl ThreadPool {
     }
 
     fn config(&self) -> &PoolConfig {
-        match &self.imp {
-            PoolImpl::V1(p) => &p.shared.config,
-            PoolImpl::V2(p) => p.config(),
-        }
+        self.dispatcher.config()
     }
 
     /// Number of permanent workers (`m`). Rescue workers added by
@@ -343,12 +96,6 @@ impl ThreadPool {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.config().workers
-    }
-
-    /// The dispatch engine this pool runs on.
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        self.config().engine
     }
 
     /// Takes the event trace of the most recent *failed* attempt (stall,
@@ -384,7 +131,7 @@ impl ThreadPool {
     /// # Errors
     ///
     /// * [`ExecError::IncompatibleJob`] if a partitioned mapping does not
-    ///   cover `dag`;
+    ///   cover `dag`, or if `dag` has more than 65,535 nodes;
     /// * [`ExecError::Stalled`] when the job deadlocks (exact detection)
     ///   and the policy cannot (or may not) recover it;
     /// * [`ExecError::NodePanicked`] when a node body panics and the
@@ -392,6 +139,14 @@ impl ThreadPool {
     /// * [`ExecError::WatchdogTimeout`] if the watchdog fires (runtime
     ///   bug guard, e.g. a lost wakeup).
     pub fn run(&mut self, dag: &Dag) -> Result<JobReport, ExecError> {
+        if dag.node_count() > MAX_NODES {
+            return Err(ExecError::IncompatibleJob {
+                message: format!(
+                    "the pool supports graphs up to {MAX_NODES} nodes, got {}",
+                    dag.node_count()
+                ),
+            });
+        }
         if let QueueDiscipline::Partitioned(mapping) = &self.config().discipline {
             if mapping.node_count() != dag.node_count() {
                 return Err(ExecError::IncompatibleJob {
@@ -410,11 +165,7 @@ impl ThreadPool {
         let mut events: Vec<RecoveryEvent> = Vec::new();
         let mut attempt = 0usize;
         loop {
-            let outcome = match &mut self.imp {
-                PoolImpl::V1(p) => p.run_attempt(&dag, attempt, &mut events),
-                PoolImpl::V2(p) => p.run_attempt(&dag, attempt, &mut events),
-            };
-            match outcome {
+            match self.dispatcher.run_attempt(&dag, attempt, &mut events) {
                 Ok(mut report) => {
                     report.attempt_traces = std::mem::take(&mut self.attempt_traces);
                     return Ok(report);
@@ -450,881 +201,15 @@ impl ThreadPool {
     }
 }
 
-impl V1Pool {
-    /// Spawns the permanent workers. The configuration was validated by
-    /// [`ThreadPool::try_new`].
-    fn new(config: PoolConfig) -> Self {
-        let workers = config.workers;
-        let shared = Arc::new(Shared {
-            config,
-            state: Mutex::new(PoolState {
-                shutdown: false,
-                job: None,
-                steal_rng: 0x9e37_79b9_7f4a_7c15,
-                next_epoch: 0,
-            }),
-            cv: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|id| spawn_worker(&shared, id, None))
-            .collect();
-        V1Pool { shared, handles }
-    }
-
-    /// One execution attempt of the job. `events` carries recovery events
-    /// accumulated by earlier attempts in and out (so a successful retry
-    /// reports the full history).
-    fn run_attempt(
-        &mut self,
-        dag: &Arc<Dag>,
-        attempt: usize,
-        events: &mut Vec<RecoveryEvent>,
-    ) -> Result<JobReport, FailedAttempt> {
-        let mut st = self.shared.state.lock();
-        debug_assert!(st.job.is_none(), "runs are serialized by &mut self");
-        let epoch = st.next_epoch;
-        st.next_epoch += 1;
-        let mut job = Job::new(epoch, attempt, Arc::clone(dag), &self.shared.config);
-        job.events = std::mem::take(events);
-        let source = dag.source();
-        enqueue(&self.shared.config.discipline, &mut job, source, 0);
-        st.job = Some(job);
-        self.shared.cv.notify_all();
-
-        let mut last_progress = 0usize;
-        loop {
-            let job = st.job.as_mut().expect("job present until we take it");
-            if job.grow_pending {
-                job.grow_pending = false;
-                // Re-validate under the lock: the stall may have resolved
-                // (an injected suspension expired) before we got here.
-                if job.finished.is_none()
-                    && job.stalled.is_none()
-                    && job.panicked.is_none()
-                    && job.executing == 0
-                    && job.ready_joins == 0
-                    && job.remaining > 0
-                    && job.growth_budget > 0
-                {
-                    let total = job.total_workers();
-                    let add = (job.suspended + 1)
-                        .saturating_sub(total)
-                        .max(1)
-                        .min(job.growth_budget);
-                    job.growth_budget -= add;
-                    for _ in 0..add {
-                        job.local.push(VecDeque::new());
-                        job.worker_suspended.push(false);
-                    }
-                    let new_total = job.total_workers();
-                    if let Some(tr) = job.trace.as_mut() {
-                        for _ in 0..add {
-                            let lane = LaneRecorder::new(&tr.clock);
-                            tr.lanes.push(lane);
-                            tr.parked.push(false);
-                        }
-                    }
-                    job.events.push(RecoveryEvent::PoolGrown {
-                        attempt,
-                        added: add,
-                        total_workers: new_total,
-                    });
-                    job.rec_ctl(EventKind::Recovery {
-                        task: 0,
-                        label: "pool_grown".to_string(),
-                        node: None,
-                    });
-                    drop(st);
-                    for id in total..new_total {
-                        let handle = spawn_worker(&self.shared, id, Some(epoch));
-                        self.handles.push(handle);
-                    }
-                    st = self.shared.state.lock();
-                    self.shared.cv.notify_all();
-                }
-                continue;
-            }
-            if let Some(elapsed) = job.finished {
-                let mut job = st.job.take().expect("present");
-                let trace = job.take_trace();
-                // Wake epoch-bound rescue workers so they retire.
-                self.shared.cv.notify_all();
-                return Ok(JobReport {
-                    makespan: elapsed,
-                    executed_nodes: job.completion_order.len(),
-                    completion_order: job.completion_order,
-                    spans: job.spans,
-                    min_available_workers: job.min_available,
-                    attempts: attempt + 1,
-                    recovery_events: job.events,
-                    trace,
-                    attempt_traces: Vec::new(),
-                });
-            }
-            if let Some((node, message)) = job.panicked.clone() {
-                // A sibling worker may still be mid-body with the lock
-                // dropped; once we take the job its re-lock hits the epoch
-                // guard and its NodeEnd would be lost. Wait (bounded) for
-                // in-flight bodies to record their terminal events so the
-                // failed attempt's trace is complete.
-                self.drain_executing(&mut st);
-                let mut job = st.job.take().expect("present");
-                let trace = job.take_trace();
-                *events = job.events;
-                self.shared.cv.notify_all();
-                return Err(FailedAttempt {
-                    error: ExecError::NodePanicked { node, message },
-                    trace,
-                });
-            }
-            if let Some((suspended, executed)) = job.stalled {
-                let mut job = st.job.take().expect("present");
-                let trace = job.take_trace();
-                *events = job.events;
-                // Wake barrier waiters so they abandon the aborted job.
-                self.shared.cv.notify_all();
-                return Err(FailedAttempt {
-                    error: ExecError::Stalled {
-                        suspended_workers: suspended,
-                        executed_nodes: executed,
-                    },
-                    trace,
-                });
-            }
-            let progress = job.completion_order.len();
-            let timed_out = self
-                .shared
-                .cv
-                .wait_for(&mut st, self.shared.config.watchdog)
-                .timed_out();
-            if timed_out {
-                let job_ref = st.job.as_ref().expect("present");
-                // An injected suspension or a pending growth means a state
-                // change is guaranteed; only silent no-progress indicates a
-                // runtime bug.
-                if job_ref.completion_order.len() == last_progress
-                    && job_ref.finished.is_none()
-                    && job_ref.stalled.is_none()
-                    && job_ref.panicked.is_none()
-                    && !job_ref.grow_pending
-                    && job_ref.fake_suspended == 0
-                {
-                    self.drain_executing(&mut st);
-                    let job_ref = st.job.as_ref().expect("present");
-                    if job_ref.finished.is_some()
-                        || job_ref.stalled.is_some()
-                        || job_ref.panicked.is_some()
-                        || job_ref.completion_order.len() != last_progress
-                    {
-                        // The drain surfaced progress; re-dispatch instead
-                        // of aborting a live job.
-                        continue;
-                    }
-                    let mut job = st.job.take().expect("present");
-                    let trace = job.take_trace();
-                    *events = job.events;
-                    self.shared.cv.notify_all();
-                    return Err(FailedAttempt {
-                        error: ExecError::WatchdogTimeout,
-                        trace,
-                    });
-                }
-            }
-            last_progress = progress;
-        }
-    }
-
-    /// Waits — bounded by one watchdog budget — for workers that are
-    /// mid-body (lock dropped) to re-acquire the lock and record their
-    /// terminal trace events (`NodeEnd`, core release). Called before
-    /// detaching an aborted attempt's job, so
-    /// [`ThreadPool::take_last_trace`] never loses events from a sibling
-    /// that was still executing when the abort condition was observed.
-    ///
-    /// Polls rather than relying purely on notification: a fault-injected
-    /// lost wakeup (`swallow_wakeup`) must not turn the drain into a
-    /// watchdog-length sleep after `executing` has already dropped to 0.
-    fn drain_executing(&self, st: &mut MutexGuard<'_, PoolState>) {
-        let deadline = Instant::now() + self.shared.config.watchdog;
-        while st.job.as_ref().is_some_and(|j| j.executing > 0) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let step = (deadline - now).min(Duration::from_millis(5));
-            let _ = self.shared.cv.wait_for(st, step);
-        }
-    }
-}
-
-impl Drop for V1Pool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-        }
-        self.shared.cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    id: usize,
-    rescue_epoch: Option<u64>,
-) -> thread::JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    let name = match rescue_epoch {
-        None => format!("rtpool-worker-{id}"),
-        Some(e) => format!("rtpool-rescuer-{id}-e{e}"),
-    };
-    thread::Builder::new()
-        .name(name)
-        .spawn(move || worker_loop(&shared, id, rescue_epoch))
-        .expect("failed to spawn worker thread")
-}
-
-/// Places a ready node in the right queue.
-fn enqueue(discipline: &QueueDiscipline, job: &mut Job, node: NodeId, spawner: usize) {
-    match discipline {
-        QueueDiscipline::GlobalFifo => job.global.push_back(node),
-        QueueDiscipline::Partitioned(mapping) => {
-            job.local[mapping.thread_of(node).index()].push_back(node);
-        }
-        QueueDiscipline::WorkStealing { .. } => job.local[spawner].push_back(node),
-    }
-}
-
-/// A fetched node plus dispatch metadata for the trace: the post-fetch
-/// depth of the queue the node came from, and — when the node was taken
-/// from another worker's queue — the steal provenance.
-struct Fetched {
-    node: NodeId,
-    /// Depth of the source queue right after this fetch.
-    depth: u32,
-    /// `Some((victim, count))` when the node was stolen: `victim` is the
-    /// robbed worker (`None` would mean the shared injector, which the v1
-    /// engine never batch-steals from), `count` the nodes taken.
-    steal: Option<(Option<u32>, u32)>,
-}
-
-/// Takes the next node for `worker`, if any is reachable.
-///
-/// Rescue workers (`worker >= job.base_workers`, added by `GrowPool`
-/// recovery) under the partitioned discipline serve the queues of
-/// *suspended* owners — exactly the nodes that could otherwise strand.
-fn fetch(
-    discipline: &QueueDiscipline,
-    job: &mut Job,
-    worker: usize,
-    steal_rng: &mut u64,
-) -> Option<Fetched> {
-    match discipline {
-        QueueDiscipline::GlobalFifo => job.global.pop_front().map(|node| Fetched {
-            node,
-            depth: u32c(job.global.len()),
-            steal: None,
-        }),
-        QueueDiscipline::Partitioned(_) => {
-            if worker < job.base_workers {
-                job.local[worker].pop_front().map(|node| Fetched {
-                    node,
-                    depth: u32c(job.local[worker].len()),
-                    steal: None,
-                })
-            } else {
-                (0..job.base_workers)
-                    .find(|&w| job.worker_suspended[w] && !job.local[w].is_empty())
-                    .and_then(|w| {
-                        job.local[w].pop_front().map(|node| Fetched {
-                            node,
-                            depth: u32c(job.local[w].len()),
-                            steal: Some((Some(u32c(w)), 1)),
-                        })
-                    })
-            }
-        }
-        QueueDiscipline::WorkStealing { .. } => {
-            // Local LIFO first (cache-friendly, Eigen-style)...
-            if let Some(node) = job.local[worker].pop_back() {
-                return Some(Fetched {
-                    node,
-                    depth: u32c(job.local[worker].len()),
-                    steal: None,
-                });
-            }
-            // ...then steal the oldest entry of a pseudo-random victim.
-            let w = job.local.len();
-            *steal_rng ^= *steal_rng << 13;
-            *steal_rng ^= *steal_rng >> 7;
-            *steal_rng ^= *steal_rng << 17;
-            let start = (*steal_rng as usize) % w;
-            for i in 0..w {
-                let victim = (start + i) % w;
-                if victim != worker {
-                    if let Some(node) = job.local[victim].pop_front() {
-                        return Some(Fetched {
-                            node,
-                            depth: u32c(job.local[victim].len()),
-                            steal: Some((Some(u32c(victim)), 1)),
-                        });
-                    }
-                }
-            }
-            None
-        }
-    }
-}
-
-/// Marks `node` complete: resolves successors, opens barriers, records
-/// completion, and finishes the job when the sink completes.
-fn complete(discipline: &QueueDiscipline, job: &mut Job, node: NodeId, worker: usize) {
-    let dag = Arc::clone(&job.dag);
-    job.completion_order.push(node.index());
-    job.remaining -= 1;
-    for &s in dag.successors(node) {
-        job.pending[s.index()] -= 1;
-        if job.pending[s.index()] > 0 {
-            continue;
-        }
-        if dag.kind(s) == NodeKind::BlockingJoin {
-            job.join_ready[s.index()] = true;
-            job.ready_joins += 1;
-        } else {
-            enqueue(discipline, job, s, worker);
-        }
-    }
-    if node == dag.sink() {
-        debug_assert_eq!(job.remaining, 0, "sink completes last");
-        job.finished = Some(job.started.elapsed());
-        job.rec_ctl(EventKind::JobCompleted { task: 0, job: 0 });
-    }
-}
-
-/// Handles the state where the job can never progress on its own: nobody
-/// executing, no join about to wake, and no queued node reachable by a
-/// non-suspended worker.
-///
-/// Depending on the recovery state this either requests pool growth
-/// (`GrowPool` budget remaining and queued work a new worker could
-/// serve), waits out a pending injected suspension (its deadline is
-/// guaranteed to expire and re-evaluate), or declares the stall.
-fn maybe_stall(discipline: &QueueDiscipline, job: &mut Job) {
-    if job.stalled.is_some()
-        || job.panicked.is_some()
-        || job.grow_pending
-        || job.remaining == 0
-        || job.executing > 0
-        || job.ready_joins > 0
-    {
-        return;
-    }
-    let total = job.total_workers();
-    let queued_work = match discipline {
-        QueueDiscipline::GlobalFifo => !job.global.is_empty(),
-        _ => job.local.iter().any(|q| !q.is_empty()),
-    };
-    let fetchable = match discipline {
-        QueueDiscipline::GlobalFifo | QueueDiscipline::WorkStealing { .. } => {
-            queued_work && job.suspended < total
-        }
-        QueueDiscipline::Partitioned(_) => {
-            let owner_can =
-                (0..job.base_workers).any(|w| !job.worker_suspended[w] && !job.local[w].is_empty());
-            let rescuer_can = (job.base_workers..total).any(|w| !job.worker_suspended[w])
-                && (0..job.base_workers)
-                    .any(|w| job.worker_suspended[w] && !job.local[w].is_empty());
-            owner_can || rescuer_can
-        }
-    };
-    if fetchable {
-        return;
-    }
-    if job.growth_budget > 0 && queued_work {
-        // A rescue worker can serve the queued work: request growth.
-        job.grow_pending = true;
-    } else if job.grow_policy && job.fake_suspended > 0 {
-        // GrowPool policy with an injected suspension in flight: its
-        // deadline is guaranteed to expire and re-evaluate, so the stall
-        // is transient — do not abort a job that will wake up, even with
-        // an exhausted growth budget.
-    } else {
-        job.stalled = Some((job.suspended, job.completion_order.len()));
-        job.rec_ctl(EventKind::StallDetected {
-            task: 0,
-            job: 0,
-            suspended: u32c(job.suspended),
-        });
-    }
-}
-
-/// Extracts a printable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Artificially suspends `worker` for `dur`, accounted exactly like a
-/// barrier suspension so the stall detector and recovery reason about it.
-/// Returns `false` if the job was aborted (or replaced) while suspended.
-fn fake_suspend(
-    shared: &Shared,
-    st: &mut MutexGuard<'_, PoolState>,
-    worker: usize,
-    epoch: u64,
-    dur: Duration,
-    node: NodeId,
-) -> bool {
-    let discipline = &shared.config.discipline;
-    {
-        let Some(job) = st.job.as_mut().filter(|j| j.epoch == epoch) else {
-            return false;
-        };
-        job.executing -= 1;
-        job.suspended += 1;
-        job.fake_suspended += 1;
-        job.worker_suspended[worker] = true;
-        job.note_suspension();
-        // An injected suspension is accounted exactly like a barrier
-        // wait, so it is traced as one too (paired with a wake on the
-        // same node when the deadline expires).
-        job.rec_worker(
-            worker,
-            EventKind::BarrierSuspend {
-                task: 0,
-                job: 0,
-                fork: u32c(node.index()),
-                thread: u32c(worker),
-            },
-        );
-    }
-    let deadline = Instant::now() + dur;
-    loop {
-        {
-            let Some(job) = st.job.as_mut().filter(|j| j.epoch == epoch) else {
-                return false;
-            };
-            maybe_stall(discipline, job);
-            if job.stalled.is_some() || job.grow_pending {
-                shared.cv.notify_all();
-            }
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let _ = shared.cv.wait_for(st, deadline - now);
-    }
-    let Some(job) = st.job.as_mut().filter(|j| j.epoch == epoch) else {
-        return false;
-    };
-    job.suspended -= 1;
-    job.fake_suspended -= 1;
-    job.worker_suspended[worker] = false;
-    job.executing += 1;
-    job.rec_worker(
-        worker,
-        EventKind::BarrierWake {
-            task: 0,
-            job: 0,
-            join: u32c(node.index()),
-            thread: u32c(worker),
-        },
-    );
-    shared.cv.notify_all();
-    true
-}
-
-/// Spin-loop hint iterations between lock re-acquisitions of a
-/// busy-waiting worker ([`crate::SyncBackend::Spin`]). Large enough that the
-/// pool mutex is not hammered, small enough that a barrier opening is
-/// observed promptly (the whole point of spinning).
-const SPIN_BATCH: u32 = 64;
-
-/// The worker body. Permanent workers (`rescue_epoch == None`) serve jobs
-/// until shutdown; rescue workers serve exactly the job of their epoch
-/// and retire when it ends.
-fn worker_loop(shared: &Shared, worker: usize, rescue_epoch: Option<u64>) {
-    let discipline = &shared.config.discipline;
-    let time_scale = shared.config.time_scale;
-    let faults: Option<&FaultPlan> = shared.config.faults.as_ref();
-
-    let mut st = shared.state.lock();
-    'outer: loop {
-        // ---- Fetch phase -------------------------------------------------
-        let mut node = loop {
-            if st.shutdown {
-                return;
-            }
-            // Split borrows: the steal generator lives beside the job.
-            let state = &mut *st;
-            match state.job.as_mut() {
-                Some(job) => {
-                    if rescue_epoch.is_some_and(|e| job.epoch != e) {
-                        return; // our job ended; retire
-                    }
-                    if job.stalled.is_none() && job.panicked.is_none() && job.remaining > 0 {
-                        if let Some(fetched) = fetch(discipline, job, worker, &mut state.steal_rng)
-                        {
-                            job.executing += 1;
-                            job.rec_unpark(worker);
-                            if let Some((victim, count)) = fetched.steal {
-                                job.rec_worker(
-                                    worker,
-                                    EventKind::StealBatch {
-                                        task: 0,
-                                        thread: u32c(worker),
-                                        victim,
-                                        count,
-                                    },
-                                );
-                            }
-                            job.rec_worker(
-                                worker,
-                                EventKind::QueueDepth {
-                                    task: 0,
-                                    thread: u32c(worker),
-                                    depth: fetched.depth,
-                                },
-                            );
-                            break fetched.node;
-                        }
-                    }
-                    maybe_stall(discipline, job);
-                    if job.stalled.is_some() || job.grow_pending {
-                        shared.cv.notify_all();
-                    }
-                    job.rec_park(worker);
-                }
-                None => {
-                    if rescue_epoch.is_some() {
-                        return; // our job ended; retire
-                    }
-                }
-            }
-            shared.cv.wait(&mut st);
-        };
-        let (epoch, attempt) = {
-            let job = st.job.as_ref().expect("fetched from it");
-            (job.epoch, job.attempt)
-        };
-
-        // ---- Execute / barrier / continuation chain ----------------------
-        loop {
-            let before = faults
-                .map(|p| p.before_body(attempt, node.index()))
-                .unwrap_or_default();
-
-            if let Some(d) = before.suspend {
-                {
-                    let job = st.job.as_mut().expect("executing");
-                    job.events.push(RecoveryEvent::FaultInjected {
-                        attempt,
-                        node: node.index(),
-                        fault: "suspend_worker",
-                    });
-                    job.rec_ctl(EventKind::Recovery {
-                        task: 0,
-                        label: "suspend_worker".to_string(),
-                        node: Some(u32c(node.index())),
-                    });
-                }
-                if !fake_suspend(shared, &mut st, worker, epoch, d, node) {
-                    continue 'outer;
-                }
-            }
-
-            let (dag, start) = {
-                let job = st.job.as_mut().expect("executing");
-                if before.panic_body {
-                    job.events.push(RecoveryEvent::FaultInjected {
-                        attempt,
-                        node: node.index(),
-                        fault: "panic_body",
-                    });
-                    job.rec_ctl(EventKind::Recovery {
-                        task: 0,
-                        label: "panic_body".to_string(),
-                        node: Some(u32c(node.index())),
-                    });
-                }
-                if before.extra_wcet > 0 {
-                    job.events.push(RecoveryEvent::FaultInjected {
-                        attempt,
-                        node: node.index(),
-                        fault: "jitter_wcet",
-                    });
-                    job.rec_ctl(EventKind::Recovery {
-                        task: 0,
-                        label: "jitter_wcet".to_string(),
-                        node: Some(u32c(node.index())),
-                    });
-                }
-                job.rec_worker(
-                    worker,
-                    EventKind::NodeStart {
-                        task: 0,
-                        job: 0,
-                        node: u32c(node.index()),
-                        thread: u32c(worker),
-                    },
-                );
-                job.rec_worker(
-                    worker,
-                    EventKind::CoreAssign {
-                        core: u32c(worker),
-                        occupant: Some((0, u32c(worker))),
-                    },
-                );
-                (Arc::clone(&job.dag), job.started.elapsed())
-            };
-            let wcet = dag.wcet(node) + before.extra_wcet;
-            drop(st); // run the body without holding the pool lock
-            let body = panic::catch_unwind(AssertUnwindSafe(|| {
-                busy_work(wcet, time_scale);
-                if before.panic_body {
-                    panic!("injected fault: node body panic at v{}", node.index());
-                }
-            }));
-            st = shared.state.lock();
-            let Some(job) = st.job.as_mut().filter(|j| j.epoch == epoch) else {
-                // The job was aborted (and possibly replaced) while we
-                // executed; drop the result.
-                continue 'outer;
-            };
-            if let Err(payload) = body {
-                // Panic isolation: report the poisoned node, keep the
-                // pool's accounting consistent, stay usable.
-                job.executing -= 1;
-                job.rec_worker(
-                    worker,
-                    EventKind::NodeEnd {
-                        task: 0,
-                        job: 0,
-                        node: u32c(node.index()),
-                        thread: u32c(worker),
-                    },
-                );
-                job.rec_worker(
-                    worker,
-                    EventKind::CoreAssign {
-                        core: u32c(worker),
-                        occupant: None,
-                    },
-                );
-                job.rec_ctl(EventKind::Recovery {
-                    task: 0,
-                    label: "node_panicked".to_string(),
-                    node: Some(u32c(node.index())),
-                });
-                job.panicked
-                    .get_or_insert((node.index(), panic_message(payload.as_ref())));
-                shared.cv.notify_all();
-                continue 'outer;
-            }
-            job.rec_worker(
-                worker,
-                EventKind::NodeEnd {
-                    task: 0,
-                    job: 0,
-                    node: u32c(node.index()),
-                    thread: u32c(worker),
-                },
-            );
-            job.rec_worker(
-                worker,
-                EventKind::CoreAssign {
-                    core: u32c(worker),
-                    occupant: None,
-                },
-            );
-            complete(discipline, job, node, worker);
-            job.spans.push(NodeSpan {
-                node: node.index(),
-                worker,
-                start,
-                end: job.started.elapsed(),
-            });
-            job.executing -= 1;
-            if job.finished.is_some() {
-                shared.cv.notify_all();
-                continue 'outer;
-            }
-
-            let after = faults
-                .map(|p| p.after_body(attempt, node.index()))
-                .unwrap_or_default();
-            if after.swallow_wakeup {
-                // Lost-wakeup bug model: successors were resolved but
-                // nobody is told. The exact stall detector (rightly) does
-                // not cover this; the watchdog must.
-                job.events.push(RecoveryEvent::FaultInjected {
-                    attempt,
-                    node: node.index(),
-                    fault: "swallow_wakeup",
-                });
-                job.rec_ctl(EventKind::Recovery {
-                    task: 0,
-                    label: "swallow_wakeup".to_string(),
-                    node: Some(u32c(node.index())),
-                });
-            } else if let Some(d) = after.delay_wakeup {
-                job.events.push(RecoveryEvent::FaultInjected {
-                    attempt,
-                    node: node.index(),
-                    fault: "delay_wakeup",
-                });
-                job.rec_ctl(EventKind::Recovery {
-                    task: 0,
-                    label: "delay_wakeup".to_string(),
-                    node: Some(u32c(node.index())),
-                });
-                drop(st);
-                thread::sleep(d);
-                st = shared.state.lock();
-                shared.cv.notify_all();
-                if st.job.as_ref().is_none_or(|j| j.epoch != epoch) {
-                    continue 'outer;
-                }
-            } else {
-                shared.cv.notify_all();
-            }
-
-            if dag.kind(node) != NodeKind::BlockingFork {
-                continue 'outer;
-            }
-            // Blocking fork: wait on the barrier — the condvar wait of
-            // Listing 1, or a busy-wait under the spin backend — then
-            // run the join as our continuation. The blocking accounting
-            // (`suspended`, `worker_suspended`, stall detection) is
-            // backend-independent: a spinner is just as unable to serve
-            // other nodes as a suspended worker.
-            let spin = shared.config.backend.is_spin();
-            let join = dag
-                .blocking_join_of(node)
-                .expect("validated BF has a paired BJ");
-            {
-                let job = st.job.as_mut().expect("still present");
-                job.suspended += 1;
-                job.worker_suspended[worker] = true;
-                job.note_suspension();
-                let ev = if spin {
-                    EventKind::SpinStart {
-                        task: 0,
-                        job: 0,
-                        fork: u32c(node.index()),
-                        thread: u32c(worker),
-                    }
-                } else {
-                    EventKind::BarrierSuspend {
-                        task: 0,
-                        job: 0,
-                        fork: u32c(node.index()),
-                        thread: u32c(worker),
-                    }
-                };
-                job.rec_worker(worker, ev);
-            }
-            let woke = loop {
-                let Some(job) = st.job.as_mut().filter(|j| j.epoch == epoch) else {
-                    break false; // job aborted (or replaced) while we waited
-                };
-                if job.join_ready[join.index()] {
-                    job.join_ready[join.index()] = false;
-                    job.ready_joins -= 1;
-                    break true;
-                }
-                if job.stalled.is_some() {
-                    break false;
-                }
-                maybe_stall(discipline, job);
-                if job.stalled.is_some() {
-                    shared.cv.notify_all();
-                    break false;
-                }
-                if job.grow_pending {
-                    shared.cv.notify_all();
-                }
-                if spin {
-                    // Busy-wait: release the pool lock, burn a bounded
-                    // batch of cycles on this core, re-acquire, re-check.
-                    // The worker never parks between `SpinStart` and
-                    // `SpinEnd`.
-                    drop(st);
-                    for _ in 0..SPIN_BATCH {
-                        std::hint::spin_loop();
-                    }
-                    st = shared.state.lock();
-                } else {
-                    shared.cv.wait(&mut st);
-                }
-            };
-            if let Some(job) = st.job.as_mut().filter(|j| j.epoch == epoch) {
-                job.suspended -= 1;
-                job.worker_suspended[worker] = false;
-                if woke {
-                    job.executing += 1;
-                    let ev = if spin {
-                        EventKind::SpinEnd {
-                            task: 0,
-                            job: 0,
-                            join: u32c(join.index()),
-                            thread: u32c(worker),
-                        }
-                    } else {
-                        EventKind::BarrierWake {
-                            task: 0,
-                            job: 0,
-                            join: u32c(join.index()),
-                            thread: u32c(worker),
-                        }
-                    };
-                    job.rec_worker(worker, ev);
-                } else if spin {
-                    // Abandoned busy-wait (stall or abort): unlike a
-                    // suspended worker — which stays parked and leaves
-                    // its `BarrierSuspend` dangling — a spinner observes
-                    // the terminal state and stops burning its core, so
-                    // the spin window closes here.
-                    job.rec_worker(
-                        worker,
-                        EventKind::SpinEnd {
-                            task: 0,
-                            job: 0,
-                            join: u32c(join.index()),
-                            thread: u32c(worker),
-                        },
-                    );
-                }
-            }
-            if !woke {
-                continue 'outer;
-            }
-            node = join; // execute the continuation
-        }
-    }
-}
-
-/// Simulates `wcet` units of sequential work.
-pub(crate) fn busy_work(wcet: u64, time_scale: Duration) {
-    if time_scale.is_zero() || wcet == 0 {
-        return;
-    }
-    thread::sleep(time_scale.saturating_mul(u32::try_from(wcet).unwrap_or(u32::MAX)));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use crate::recovery::RecoveryPolicy;
     use rtpool_core::partition::{algorithm1, worst_fit};
     use rtpool_graph::DagBuilder;
+    use rtpool_trace::EventKind;
+    use std::time::Duration;
 
     fn fast(workers: usize, discipline: QueueDiscipline) -> ThreadPool {
         ThreadPool::new(
@@ -1500,6 +385,58 @@ mod tests {
     }
 
     #[test]
+    fn try_new_rejects_more_than_255_workers_with_reserve() {
+        // The counter fields are 8 bits wide: permanent workers plus the
+        // growth reserve may reach 255 and no more. Only the permanent
+        // worker is spawned, so the accepted case stays cheap.
+        let grow = |reserve| RecoveryPolicy::GrowPool { reserve };
+        assert!(ThreadPool::try_new(
+            PoolConfig::new(1, QueueDiscipline::GlobalFifo).with_recovery(grow(254))
+        )
+        .is_ok());
+        match ThreadPool::try_new(
+            PoolConfig::new(1, QueueDiscipline::GlobalFifo).with_recovery(grow(255)),
+        ) {
+            Err(ExecError::InvalidConfig { message }) => {
+                assert!(message.contains("255"), "{message}");
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
+        assert!(matches!(
+            ThreadPool::try_new(PoolConfig::new(256, QueueDiscipline::GlobalFifo)),
+            Err(ExecError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn run_rejects_graphs_over_65535_nodes() {
+        // The ready-join counter field is 16 bits wide. A chain of
+        // 65,536 nodes is refused before any worker sees it; one node
+        // less runs.
+        let chain = |n: usize| {
+            let mut b = DagBuilder::new();
+            let mut prev = b.add_node(0);
+            for _ in 1..n {
+                let v = b.add_node(0);
+                b.add_edge(prev, v).unwrap();
+                prev = v;
+            }
+            b.build().unwrap()
+        };
+        let mut pool = ThreadPool::new(
+            PoolConfig::new(1, QueueDiscipline::GlobalFifo).with_time_scale(Duration::ZERO),
+        );
+        match pool.run(&chain(65_536)) {
+            Err(ExecError::IncompatibleJob { message }) => {
+                assert!(message.contains("65535"), "{message}");
+            }
+            other => panic!("expected IncompatibleJob, got {:?}", other.map(|_| ())),
+        }
+        let report = pool.run(&chain(65_535)).unwrap();
+        assert_eq!(report.executed_nodes, 65_535);
+    }
+
+    #[test]
     fn work_stealing_completes_blocking_jobs() {
         let mut pool = fast(3, QueueDiscipline::WorkStealing { seed: 42 });
         let report = pool.run(&fork_join(true)).unwrap();
@@ -1600,37 +537,34 @@ mod tests {
     }
 
     #[test]
-    fn spin_backend_runs_and_traces_spin_on_both_engines() {
-        for engine in [Engine::V1Condvar, Engine::V2LockFree] {
-            let mut pool = ThreadPool::new(
-                PoolConfig::new(3, QueueDiscipline::GlobalFifo)
-                    .with_engine(engine)
-                    .with_backend(crate::SyncBackend::Spin)
-                    .with_time_scale(Duration::from_micros(50))
-                    .with_watchdog(Duration::from_secs(10))
-                    .with_trace(),
-            );
-            let report = pool.run(&fork_join(true)).unwrap();
-            assert_eq!(report.executed_nodes, 5, "{engine:?}");
-            let trace = report.trace.expect("trace recorded");
-            assert!(
-                trace.validate().is_empty(),
-                "{engine:?} defects: {:?}",
-                trace.validate()
-            );
-            let names: Vec<&str> = trace.events.iter().map(|e| e.kind.name()).collect();
-            assert!(names.contains(&"SpinStart"), "{engine:?}");
-            assert!(names.contains(&"SpinEnd"), "{engine:?}");
-            assert!(!names.contains(&"BarrierSuspend"), "{engine:?}");
-            assert!(!names.contains(&"BarrierWake"), "{engine:?}");
-            // The spinner counts as blocking, exactly like a suspension.
-            let ana = rtpool_trace::TraceAnalysis::new(&trace);
-            assert_eq!(ana.task(0).max_simultaneous_blocking, 1, "{engine:?}");
-        }
+    fn spin_backend_runs_and_traces_spin() {
+        let mut pool = ThreadPool::new(
+            PoolConfig::new(3, QueueDiscipline::GlobalFifo)
+                .with_backend(crate::SyncBackend::Spin)
+                .with_time_scale(Duration::from_micros(50))
+                .with_watchdog(Duration::from_secs(10))
+                .with_trace(),
+        );
+        let report = pool.run(&fork_join(true)).unwrap();
+        assert_eq!(report.executed_nodes, 5);
+        let trace = report.trace.expect("trace recorded");
+        assert!(
+            trace.validate().is_empty(),
+            "defects: {:?}",
+            trace.validate()
+        );
+        let names: Vec<&str> = trace.events.iter().map(|e| e.kind.name()).collect();
+        assert!(names.contains(&"SpinStart"));
+        assert!(names.contains(&"SpinEnd"));
+        assert!(!names.contains(&"BarrierSuspend"));
+        assert!(!names.contains(&"BarrierWake"));
+        // The spinner counts as blocking, exactly like a suspension.
+        let ana = rtpool_trace::TraceAnalysis::new(&trace);
+        assert_eq!(ana.task(0).max_simultaneous_blocking, 1);
     }
 
     #[test]
-    fn spin_backend_stall_detected_on_both_engines() {
+    fn spin_backend_stall_detected() {
         // Figure 1(c): two blocking replicas wedge two workers — under
         // spin they busy-wait, but the exact detector still fires.
         let mut b = DagBuilder::new();
@@ -1642,35 +576,29 @@ mod tests {
             b.add_edge(j, snk).unwrap();
         }
         let dag = b.build().unwrap();
-        for engine in [Engine::V1Condvar, Engine::V2LockFree] {
-            let mut pool = ThreadPool::new(
-                PoolConfig::new(2, QueueDiscipline::GlobalFifo)
-                    .with_engine(engine)
-                    .with_backend(crate::SyncBackend::Spin)
-                    .with_time_scale(Duration::from_micros(50))
-                    .with_watchdog(Duration::from_secs(10))
-                    .with_trace(),
-            );
-            assert!(
-                matches!(
-                    pool.run(&dag),
-                    Err(ExecError::Stalled {
-                        suspended_workers: 2,
-                        ..
-                    })
-                ),
-                "{engine:?}"
-            );
-            let trace = pool.take_last_trace().expect("trace of the failed attempt");
-            assert!(
-                trace.validate().is_empty(),
-                "{engine:?} defects: {:?}",
-                trace.validate()
-            );
-            let names: Vec<&str> = trace.events.iter().map(|e| e.kind.name()).collect();
-            assert!(names.contains(&"SpinStart"), "{engine:?}");
-            assert!(names.contains(&"StallDetected"), "{engine:?}");
-        }
+        let mut pool = ThreadPool::new(
+            PoolConfig::new(2, QueueDiscipline::GlobalFifo)
+                .with_backend(crate::SyncBackend::Spin)
+                .with_time_scale(Duration::from_micros(50))
+                .with_watchdog(Duration::from_secs(10))
+                .with_trace(),
+        );
+        assert!(matches!(
+            pool.run(&dag),
+            Err(ExecError::Stalled {
+                suspended_workers: 2,
+                ..
+            })
+        ));
+        let trace = pool.take_last_trace().expect("trace of the failed attempt");
+        assert!(
+            trace.validate().is_empty(),
+            "defects: {:?}",
+            trace.validate()
+        );
+        let names: Vec<&str> = trace.events.iter().map(|e| e.kind.name()).collect();
+        assert!(names.contains(&"SpinStart"));
+        assert!(names.contains(&"StallDetected"));
     }
 
     #[test]

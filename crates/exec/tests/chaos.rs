@@ -12,8 +12,8 @@ use rtpool_core::partition::worst_fit;
 use rtpool_core::ConcurrencyAnalysis;
 use rtpool_core::{deadlock, sizing};
 use rtpool_exec::{
-    Engine, ExecError, FaultPlan, PoolConfig, QueueDiscipline, RecoveryEvent, RecoveryPolicy,
-    RetryCause, SyncBackend, ThreadPool,
+    ExecError, FaultPlan, PoolConfig, QueueDiscipline, RecoveryEvent, RecoveryPolicy, RetryCause,
+    SyncBackend, ThreadPool,
 };
 use rtpool_gen::DagGenConfig;
 use rtpool_graph::{Dag, DagBuilder};
@@ -42,13 +42,8 @@ fn random_dag(seed: u64) -> Dag {
     DagGenConfig::default().generate(&mut rng)
 }
 
-/// Both dispatch engines: every chaos scenario must hold under the v1
-/// condvar engine and the v2 lock-free engine alike.
-const ENGINES: [Engine; 2] = [Engine::V1Condvar, Engine::V2LockFree];
-
-fn base_config(workers: usize, discipline: QueueDiscipline, engine: Engine) -> PoolConfig {
+fn base_config(workers: usize, discipline: QueueDiscipline) -> PoolConfig {
     PoolConfig::new(workers, discipline)
-        .with_engine(engine)
         .with_time_scale(Duration::ZERO)
         .with_watchdog(Duration::from_secs(20))
 }
@@ -107,7 +102,7 @@ fn figure_1c() -> Dag {
 }
 
 /// ≥200 seeded fault plans across all three queue disciplines — run once
-/// per sync backend, per engine — with the runtime's verdict
+/// per sync backend — with the runtime's verdict
 /// cross-checked against the static analysis:
 ///
 /// * benign plans (delay + jitter) on safely-sized pools must always
@@ -124,14 +119,12 @@ fn figure_1c() -> Dag {
 /// complete under suspend must complete under spin, and vice versa.
 #[test]
 fn seeded_fault_plans_across_all_disciplines() {
-    for engine in ENGINES {
-        for backend in BACKENDS {
-            seeded_fault_plans_across_all_disciplines_on(engine, backend);
-        }
+    for backend in BACKENDS {
+        seeded_fault_plans_across_all_disciplines_on(backend);
     }
 }
 
-fn seeded_fault_plans_across_all_disciplines_on(engine: Engine, backend: SyncBackend) {
+fn seeded_fault_plans_across_all_disciplines_on(backend: SyncBackend) {
     quiet_worker_panics();
     let mut plans_run = 0u32;
     for seed in 0..35u64 {
@@ -152,7 +145,7 @@ fn seeded_fault_plans_across_all_disciplines_on(engine: Engine, backend: SyncBac
                 }
                 _ => true,
             };
-            let config = base_config(safe, discipline, engine)
+            let config = base_config(safe, discipline)
                 .with_backend(backend)
                 .with_faults(benign_plan(seed));
             let mut pool = ThreadPool::new(config);
@@ -185,7 +178,7 @@ fn seeded_fault_plans_across_all_disciplines_on(engine: Engine, backend: SyncBac
                 }
                 _ => deadlock::check_global(&dag, workers).is_deadlock_free(),
             };
-            let config = base_config(workers, discipline.clone(), engine)
+            let config = base_config(workers, discipline.clone())
                 .with_backend(backend)
                 .with_faults(hostile_plan(seed));
             let mut pool = ThreadPool::new(config);
@@ -202,7 +195,7 @@ fn seeded_fault_plans_across_all_disciplines_on(engine: Engine, backend: SyncBac
                         // (panic draws are keyed by the same rule index,
                         // so they repeat identically) must never stall.
                         let no_suspensions = benign_plan(seed).panic_prob(0.04);
-                        let config = base_config(workers, discipline.clone(), engine)
+                        let config = base_config(workers, discipline.clone())
                             .with_backend(backend)
                             .with_faults(no_suspensions);
                         let mut pool = ThreadPool::new(config);
@@ -230,8 +223,7 @@ fn seeded_fault_plans_across_all_disciplines_on(engine: Engine, backend: SyncBac
     }
     assert!(
         plans_run >= 200,
-        "only {plans_run} fault plans were run under {} / {}",
-        engine.as_str(),
+        "only {plans_run} fault plans were run under {}",
         backend.as_str()
     );
 }
@@ -240,20 +232,18 @@ fn seeded_fault_plans_across_all_disciplines_on(engine: Engine, backend: SyncBac
 /// outcome classes, regardless of thread interleaving.
 #[test]
 fn chaos_outcomes_are_reproducible_from_the_seed() {
-    for engine in ENGINES {
-        for backend in BACKENDS {
-            chaos_outcomes_are_reproducible_from_the_seed_on(engine, backend);
-        }
+    for backend in BACKENDS {
+        chaos_outcomes_are_reproducible_from_the_seed_on(backend);
     }
 }
 
-fn chaos_outcomes_are_reproducible_from_the_seed_on(engine: Engine, backend: SyncBackend) {
+fn chaos_outcomes_are_reproducible_from_the_seed_on(backend: SyncBackend) {
     quiet_worker_panics();
     for seed in 50..65u64 {
         let dag = random_dag(seed);
         let workers = sizing::min_threads_deadlock_free(&dag).max(2) - 1;
         let outcome = |_: ()| {
-            let config = base_config(workers.max(1), QueueDiscipline::GlobalFifo, engine)
+            let config = base_config(workers.max(1), QueueDiscipline::GlobalFifo)
                 .with_backend(backend)
                 .with_faults(hostile_plan(seed));
             let mut p = ThreadPool::new(config);
@@ -284,19 +274,13 @@ fn chaos_outcomes_are_reproducible_from_the_seed_on(engine: Engine, backend: Syn
 /// when another worker was suspended on a barrier at panic time.
 #[test]
 fn node_panic_is_isolated_and_pool_stays_usable() {
-    for engine in ENGINES {
-        node_panic_is_isolated_and_pool_stays_usable_on(engine);
-    }
-}
-
-fn node_panic_is_isolated_and_pool_stays_usable_on(engine: Engine) {
     quiet_worker_panics();
     // Blocking fork-join: node 0 = BF, nodes 1-2 = children, node 3 = BJ.
     let mut b = DagBuilder::new();
     b.fork_join(1, &[2, 2], 1, true).unwrap();
     let dag = b.build().unwrap();
-    let config = base_config(2, QueueDiscipline::GlobalFifo, engine)
-        .with_faults(FaultPlan::seeded(7).panic_on(2));
+    let config =
+        base_config(2, QueueDiscipline::GlobalFifo).with_faults(FaultPlan::seeded(7).panic_on(2));
     let mut pool = ThreadPool::new(config);
     // Deterministic plans fail deterministically, run after run.
     for round in 0..3 {
@@ -327,12 +311,6 @@ fn node_panic_is_isolated_and_pool_stays_usable_on(engine: Engine) {
 /// watchdog must catch it, deterministically.
 #[test]
 fn watchdog_catches_swallowed_wakeup() {
-    for engine in ENGINES {
-        watchdog_catches_swallowed_wakeup_on(engine);
-    }
-}
-
-fn watchdog_catches_swallowed_wakeup_on(engine: Engine) {
     // Node 0 = BF (its worker suspends on the barrier), node 1 = BJ,
     // node 2 = the child. Swallowing the child's completion wakeup
     // leaves the barrier sleeper unnotified forever.
@@ -340,7 +318,6 @@ fn watchdog_catches_swallowed_wakeup_on(engine: Engine) {
     b.fork_join(1, &[1], 1, true).unwrap();
     let dag = b.build().unwrap();
     let config = PoolConfig::new(2, QueueDiscipline::GlobalFifo)
-        .with_engine(engine)
         .with_time_scale(Duration::ZERO)
         .with_watchdog(Duration::from_millis(150))
         .with_faults(FaultPlan::seeded(3).swallow_wakeup_on(2));
@@ -366,12 +343,6 @@ fn watchdog_catches_swallowed_wakeup_on(engine: Engine) {
 /// longer matches) succeeds. The report carries the whole history.
 #[test]
 fn retry_with_backoff_recovers_injected_stall() {
-    for engine in ENGINES {
-        retry_with_backoff_recovers_injected_stall_on(engine);
-    }
-}
-
-fn retry_with_backoff_recovers_injected_stall_on(engine: Engine) {
     // A 3-node chain on one worker: suspending the worker on node 1
     // leaves nothing fetchable and nobody executing — an exact stall.
     let mut b = DagBuilder::new();
@@ -383,7 +354,7 @@ fn retry_with_backoff_recovers_injected_stall_on(engine: Engine) {
     let dag = b.build().unwrap();
 
     let base_delay = Duration::from_millis(25);
-    let config = base_config(1, QueueDiscipline::GlobalFifo, engine)
+    let config = base_config(1, QueueDiscipline::GlobalFifo)
         .with_recovery(RecoveryPolicy::RetryWithBackoff {
             max_retries: 2,
             base_delay,
@@ -418,18 +389,12 @@ fn retry_with_backoff_recovers_injected_stall_on(engine: Engine) {
 /// between attempts.
 #[test]
 fn retry_with_backoff_recovers_injected_panic() {
-    for engine in ENGINES {
-        retry_with_backoff_recovers_injected_panic_on(engine);
-    }
-}
-
-fn retry_with_backoff_recovers_injected_panic_on(engine: Engine) {
     quiet_worker_panics();
     let mut b = DagBuilder::new();
     b.add_node(1);
     let dag = b.build().unwrap();
     let base_delay = Duration::from_millis(5);
-    let config = base_config(1, QueueDiscipline::GlobalFifo, engine)
+    let config = base_config(1, QueueDiscipline::GlobalFifo)
         .with_recovery(RecoveryPolicy::RetryWithBackoff {
             max_retries: 3,
             base_delay,
@@ -463,7 +428,7 @@ fn retry_with_backoff_recovers_injected_panic_on(engine: Engine) {
         "exponential backoff per attempt"
     );
     // An exhausted retry budget surfaces the final error.
-    let config = base_config(1, QueueDiscipline::GlobalFifo, engine)
+    let config = base_config(1, QueueDiscipline::GlobalFifo)
         .with_recovery(RecoveryPolicy::RetryWithBackoff {
             max_retries: 1,
             base_delay,
@@ -481,12 +446,6 @@ fn retry_with_backoff_recovers_injected_panic_on(engine: Engine) {
 /// `l̄ = m − b̄ ≥ 1` and the job completes on an under-provisioned pool.
 #[test]
 fn grow_pool_resolves_figure_1c_deadlock() {
-    for engine in ENGINES {
-        grow_pool_resolves_figure_1c_deadlock_on(engine);
-    }
-}
-
-fn grow_pool_resolves_figure_1c_deadlock_on(engine: Engine) {
     let dag = figure_1c();
     let workers = 2;
     let reserve = sizing::reserve_for(&dag, workers);
@@ -498,8 +457,8 @@ fn grow_pool_resolves_figure_1c_deadlock_on(engine: Engine) {
         QueueDiscipline::GlobalFifo,
         QueueDiscipline::WorkStealing { seed: 17 },
     ] {
-        let config = base_config(workers, discipline, engine)
-            .with_recovery(RecoveryPolicy::GrowPool { reserve });
+        let config =
+            base_config(workers, discipline).with_recovery(RecoveryPolicy::GrowPool { reserve });
         let mut pool = ThreadPool::new(config);
         let report = pool.run(&dag).unwrap();
         assert_valid_run(&dag, &report);
@@ -521,19 +480,13 @@ fn grow_pool_resolves_figure_1c_deadlock_on(engine: Engine) {
 /// behind its suspended fork.
 #[test]
 fn grow_pool_rescues_unsafe_partitioned_mapping() {
-    for engine in ENGINES {
-        grow_pool_rescues_unsafe_partitioned_mapping_on(engine);
-    }
-}
-
-fn grow_pool_rescues_unsafe_partitioned_mapping_on(engine: Engine) {
     let mut b = DagBuilder::new();
     b.fork_join(1, &[1], 1, true).unwrap();
     let dag = b.build().unwrap();
     // Everything on the single worker: the child sits in the queue of the
     // worker suspended on the fork's barrier.
     let mapping = worst_fit(&dag, 1);
-    let config = base_config(1, QueueDiscipline::Partitioned(mapping), engine)
+    let config = base_config(1, QueueDiscipline::Partitioned(mapping))
         .with_recovery(RecoveryPolicy::GrowPool { reserve: 1 });
     let mut pool = ThreadPool::new(config);
     let report = pool.run(&dag).unwrap();
@@ -548,24 +501,19 @@ fn grow_pool_rescues_unsafe_partitioned_mapping_on(engine: Engine) {
 /// of whether the wedged workers sleep or spin.
 #[test]
 fn grow_pool_completes_safe_jobs_under_injected_suspensions() {
-    for engine in ENGINES {
-        for backend in BACKENDS {
-            grow_pool_completes_safe_jobs_under_injected_suspensions_on(engine, backend);
-        }
+    for backend in BACKENDS {
+        grow_pool_completes_safe_jobs_under_injected_suspensions_on(backend);
     }
 }
 
-fn grow_pool_completes_safe_jobs_under_injected_suspensions_on(
-    engine: Engine,
-    backend: SyncBackend,
-) {
+fn grow_pool_completes_safe_jobs_under_injected_suspensions_on(backend: SyncBackend) {
     for seed in 70..82u64 {
         let dag = random_dag(seed);
         let workers = sizing::min_threads_deadlock_free(&dag);
         assert_eq!(sizing::reserve_for(&dag, workers), 0, "statically safe");
         // The hostile suspension mix can suspend every worker at once in
         // the worst case: allow one spare per worker.
-        let config = base_config(workers, QueueDiscipline::GlobalFifo, engine)
+        let config = base_config(workers, QueueDiscipline::GlobalFifo)
             .with_backend(backend)
             .with_recovery(RecoveryPolicy::GrowPool { reserve: workers })
             .with_faults(FaultPlan::seeded(seed).suspend_prob(0.3, Duration::from_millis(2)));
@@ -584,12 +532,6 @@ fn grow_pool_completes_safe_jobs_under_injected_suspensions_on(
 /// verdict instead of hanging or watchdogging.
 #[test]
 fn exhausted_reserve_still_reports_exact_stall() {
-    for engine in ENGINES {
-        exhausted_reserve_still_reports_exact_stall_on(engine);
-    }
-}
-
-fn exhausted_reserve_still_reports_exact_stall_on(engine: Engine) {
     // Three concurrent blocking forks on one worker: needs three spares,
     // gets one.
     let mut b = DagBuilder::new();
@@ -601,7 +543,7 @@ fn exhausted_reserve_still_reports_exact_stall_on(engine: Engine) {
         b.add_edge(j, snk).unwrap();
     }
     let dag = b.build().unwrap();
-    let config = base_config(1, QueueDiscipline::GlobalFifo, engine)
+    let config = base_config(1, QueueDiscipline::GlobalFifo)
         .with_recovery(RecoveryPolicy::GrowPool { reserve: 1 });
     let mut pool = ThreadPool::new(config);
     match pool.run(&dag) {
@@ -626,12 +568,6 @@ fn exhausted_reserve_still_reports_exact_stall_on(engine: Engine) {
 /// events vanish from `take_last_trace`.
 #[test]
 fn panic_trace_keeps_mid_body_sibling_node_end() {
-    for engine in ENGINES {
-        panic_trace_keeps_mid_body_sibling_node_end_on(engine);
-    }
-}
-
-fn panic_trace_keeps_mid_body_sibling_node_end_on(engine: Engine) {
     quiet_worker_panics();
     // src fans out to a slow node (mid-body when the panic fires) and a
     // fast chain whose second node panics before its body runs.
@@ -648,7 +584,6 @@ fn panic_trace_keeps_mid_body_sibling_node_end_on(engine: Engine) {
     b.add_edge(slow, snk).unwrap();
     let dag = b.build().unwrap();
     let config = PoolConfig::new(2, QueueDiscipline::GlobalFifo)
-        .with_engine(engine)
         .with_time_scale(Duration::from_micros(100))
         .with_watchdog(Duration::from_secs(20))
         .with_trace()
@@ -696,18 +631,12 @@ fn panic_trace_keeps_mid_body_sibling_node_end_on(engine: Engine) {
 /// the failed attempts' traces retrievable from the pool.
 #[test]
 fn retry_preserves_failed_attempt_traces() {
-    for engine in ENGINES {
-        retry_preserves_failed_attempt_traces_on(engine);
-    }
-}
-
-fn retry_preserves_failed_attempt_traces_on(engine: Engine) {
     quiet_worker_panics();
     let mut b = DagBuilder::new();
     b.fork_join(1, &[2, 2], 1, false).unwrap();
     let dag = b.build().unwrap();
     let retrying = |faults: FaultPlan| {
-        base_config(2, QueueDiscipline::GlobalFifo, engine)
+        base_config(2, QueueDiscipline::GlobalFifo)
             .with_trace()
             .with_recovery(RecoveryPolicy::RetryWithBackoff {
                 max_retries: 2,
@@ -719,12 +648,11 @@ fn retry_preserves_failed_attempt_traces_on(engine: Engine) {
     // One failed attempt, then success: the report carries both traces.
     let mut pool = ThreadPool::new(retrying(FaultPlan::seeded(11).panic_on_attempt(0, 2)));
     let report = pool.run(&dag).unwrap();
-    assert_eq!(report.attempts, 2, "{}", engine.as_str());
+    assert_eq!(report.attempts, 2);
     assert_eq!(
         report.attempt_traces.len(),
         1,
-        "one failed attempt, one kept trace ({})",
-        engine.as_str()
+        "one failed attempt, one kept trace"
     );
     let failed = &report.attempt_traces[0];
     assert!(failed.validate().is_empty(), "{:?}", failed.validate());
@@ -733,8 +661,7 @@ fn retry_preserves_failed_attempt_traces_on(engine: Engine) {
             .events
             .iter()
             .any(|e| matches!(e.kind, rtpool_trace::EventKind::Recovery { .. })),
-        "failed attempt trace records the injected panic ({})",
-        engine.as_str()
+        "failed attempt trace records the injected panic"
     );
     let success = report.trace.as_ref().expect("successful attempt trace");
     assert!(success.validate().is_empty(), "{:?}", success.validate());
@@ -751,7 +678,7 @@ fn retry_preserves_failed_attempt_traces_on(engine: Engine) {
         Err(ExecError::NodePanicked { node: 2, .. })
     ));
     let attempts = pool.take_attempt_traces();
-    assert_eq!(attempts.len(), 3, "{}", engine.as_str());
+    assert_eq!(attempts.len(), 3);
     for t in &attempts {
         assert!(t.validate().is_empty(), "{:?}", t.validate());
     }
@@ -800,12 +727,6 @@ fn blocking_stats(trace: &rtpool_trace::Trace, ctx: &str) -> (usize, usize, usiz
 /// normally.
 #[test]
 fn panic_mid_spin_is_isolated_and_pool_stays_usable() {
-    for engine in ENGINES {
-        panic_mid_spin_is_isolated_and_pool_stays_usable_on(engine);
-    }
-}
-
-fn panic_mid_spin_is_isolated_and_pool_stays_usable_on(engine: Engine) {
     quiet_worker_panics();
     // src fans out to a blocking fork whose single child runs ~10ms (the
     // forking worker busy-waits the whole time) and to a slow→doomed
@@ -824,7 +745,6 @@ fn panic_mid_spin_is_isolated_and_pool_stays_usable_on(engine: Engine) {
     let dag = b.build().unwrap();
 
     let config = PoolConfig::new(3, QueueDiscipline::GlobalFifo)
-        .with_engine(engine)
         .with_backend(SyncBackend::Spin)
         .with_time_scale(Duration::from_micros(100))
         .with_watchdog(Duration::from_secs(20))
@@ -839,7 +759,7 @@ fn panic_mid_spin_is_isolated_and_pool_stays_usable_on(engine: Engine) {
             other => panic!("round {round}: expected NodePanicked, got {other:?}"),
         }
         let trace = pool.take_last_trace().expect("trace of the failed attempt");
-        let ctx = format!("{} round {round}", engine.as_str());
+        let ctx = format!("round {round}");
         let (spin_starts, _, barrier_suspends) = blocking_stats(&trace, &ctx);
         assert!(spin_starts >= 1, "{ctx}: the fork worker never busy-waited");
         assert_eq!(
@@ -861,12 +781,6 @@ fn panic_mid_spin_is_isolated_and_pool_stays_usable_on(engine: Engine) {
 /// fault-free retry.
 #[test]
 fn retry_recovers_stall_with_a_mid_spin_worker() {
-    for engine in ENGINES {
-        retry_recovers_stall_with_a_mid_spin_worker_on(engine);
-    }
-}
-
-fn retry_recovers_stall_with_a_mid_spin_worker_on(engine: Engine) {
     // Node 0 = BF (its worker spins on the barrier), node 1 = BJ,
     // node 2 = the child the injected suspension lands on.
     let mut b = DagBuilder::new();
@@ -874,7 +788,7 @@ fn retry_recovers_stall_with_a_mid_spin_worker_on(engine: Engine) {
     let dag = b.build().unwrap();
 
     let base_delay = Duration::from_millis(10);
-    let config = base_config(2, QueueDiscipline::GlobalFifo, engine)
+    let config = base_config(2, QueueDiscipline::GlobalFifo)
         .with_backend(SyncBackend::Spin)
         .with_trace()
         .with_recovery(RecoveryPolicy::RetryWithBackoff {
@@ -902,8 +816,8 @@ fn retry_recovers_stall_with_a_mid_spin_worker_on(engine: Engine) {
     // The stalled attempt's trace shows the fork worker spinning when
     // the stall was declared, and exactly one suspend-dialect event: the
     // injected suspension, traced as a barrier wait by design.
-    assert_eq!(report.attempt_traces.len(), 1, "{}", engine.as_str());
-    let ctx = format!("{} stalled attempt", engine.as_str());
+    assert_eq!(report.attempt_traces.len(), 1);
+    let ctx = "stalled attempt".to_string();
     let (spin_starts, _, barrier_suspends) = blocking_stats(&report.attempt_traces[0], &ctx);
     assert!(spin_starts >= 1, "{ctx}: the fork worker never busy-waited");
     assert_eq!(
@@ -912,7 +826,7 @@ fn retry_recovers_stall_with_a_mid_spin_worker_on(engine: Engine) {
     );
     // The clean retry is pure spin dialect: no faults, no suspensions.
     let success = report.trace.as_ref().expect("successful attempt trace");
-    let ctx = format!("{} retry attempt", engine.as_str());
+    let ctx = "retry attempt".to_string();
     let (_, _, retry_suspends) = blocking_stats(success, &ctx);
     assert_eq!(
         retry_suspends, 0,

@@ -7,8 +7,8 @@ use std::time::Duration;
 use rand::SeedableRng;
 use rtpool_core::partition::algorithm1;
 use rtpool_core::{deadlock, sizing};
-use rtpool_exec::{Engine, ExecError, PoolConfig, QueueDiscipline, ThreadPool};
-use rtpool_gen::DagGenConfig;
+use rtpool_exec::{ExecError, PoolConfig, QueueDiscipline, ThreadPool};
+use rtpool_gen::{ConcurrencyWindow, DagGenConfig, TaskSetConfig};
 use rtpool_graph::Dag;
 
 fn random_dag(seed: u64) -> Dag {
@@ -16,14 +16,9 @@ fn random_dag(seed: u64) -> Dag {
     DagGenConfig::default().generate(&mut rng)
 }
 
-/// Both dispatch engines: every stress workload must hold under the v1
-/// condvar engine and the v2 lock-free engine alike.
-const ENGINES: [Engine; 2] = [Engine::V1Condvar, Engine::V2LockFree];
-
-fn fast_pool(workers: usize, discipline: QueueDiscipline, engine: Engine) -> ThreadPool {
+fn fast_pool(workers: usize, discipline: QueueDiscipline) -> ThreadPool {
     ThreadPool::new(
         PoolConfig::new(workers, discipline)
-            .with_engine(engine)
             .with_time_scale(Duration::ZERO)
             .with_watchdog(Duration::from_secs(20)),
     )
@@ -54,16 +49,10 @@ fn assert_valid_run(dag: &Dag, report: &rtpool_exec::JobReport) {
 
 #[test]
 fn global_fifo_random_workloads() {
-    for engine in ENGINES {
-        global_fifo_random_workloads_on(engine);
-    }
-}
-
-fn global_fifo_random_workloads_on(engine: Engine) {
     for seed in 0..25 {
         let dag = random_dag(seed);
         let workers = sizing::min_threads_deadlock_free(&dag);
-        let mut pool = fast_pool(workers, QueueDiscipline::GlobalFifo, engine);
+        let mut pool = fast_pool(workers, QueueDiscipline::GlobalFifo);
         let report = pool
             .run(&dag)
             .unwrap_or_else(|e| panic!("seed {seed}: safe pool size {workers} stalled: {e}"));
@@ -73,16 +62,10 @@ fn global_fifo_random_workloads_on(engine: Engine) {
 
 #[test]
 fn work_stealing_random_workloads() {
-    for engine in ENGINES {
-        work_stealing_random_workloads_on(engine);
-    }
-}
-
-fn work_stealing_random_workloads_on(engine: Engine) {
     for seed in 100..120 {
         let dag = random_dag(seed);
         let workers = sizing::min_threads_deadlock_free(&dag);
-        let mut pool = fast_pool(workers, QueueDiscipline::WorkStealing { seed }, engine);
+        let mut pool = fast_pool(workers, QueueDiscipline::WorkStealing { seed });
         let report = pool.run(&dag).unwrap();
         assert_valid_run(&dag, &report);
     }
@@ -90,12 +73,6 @@ fn work_stealing_random_workloads_on(engine: Engine) {
 
 #[test]
 fn partitioned_random_workloads_with_algorithm1() {
-    for engine in ENGINES {
-        partitioned_random_workloads_with_algorithm1_on(engine);
-    }
-}
-
-fn partitioned_random_workloads_with_algorithm1_on(engine: Engine) {
     let mut ran = 0;
     for seed in 200..240 {
         let dag = random_dag(seed);
@@ -103,22 +80,44 @@ fn partitioned_random_workloads_with_algorithm1_on(engine: Engine) {
         let Ok(mapping) = algorithm1(&dag, workers) else {
             continue;
         };
-        let mut pool = fast_pool(workers, QueueDiscipline::Partitioned(mapping), engine);
+        let mut pool = fast_pool(workers, QueueDiscipline::Partitioned(mapping));
         let report = pool.run(&dag).unwrap();
         assert_valid_run(&dag, &report);
         ran += 1;
     }
     assert!(ran > 10, "too few partitionable samples: {ran}");
+
+    // The executor benchmark's partitioned inputs: DAGs generated with
+    // l̄ = m − b̄ ∈ [1, 2] on m = 2, one pool per DAG with its Algorithm 1
+    // mapping, run back to back with free node bodies. Short jobs on a
+    // tight pool are where a stall check racing an owner's pop shows.
+    let window = TaskSetConfig::new(1, 1.0, DagGenConfig::default()).with_concurrency_window(
+        ConcurrencyWindow {
+            m: 2,
+            l_min: 1,
+            l_max: 2,
+            max_attempts: 20_000,
+        },
+    );
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xE1EC);
+    let mut jobs = Vec::new();
+    while jobs.len() < 32 {
+        let dag = window.generate_dag(&mut rng).unwrap();
+        if let Ok(mapping) = algorithm1(&dag, 2) {
+            jobs.push((fast_pool(2, QueueDiscipline::Partitioned(mapping)), dag));
+        }
+    }
+    for round in 0..3_000 {
+        let (pool, dag) = &mut jobs[round % 32];
+        let report = pool
+            .run(dag)
+            .unwrap_or_else(|e| panic!("back-to-back job {round}: {e}"));
+        assert_valid_run(dag, &report);
+    }
 }
 
 #[test]
 fn under_provisioned_pools_stall_only_when_predicted() {
-    for engine in ENGINES {
-        under_provisioned_pools_stall_only_when_predicted_on(engine);
-    }
-}
-
-fn under_provisioned_pools_stall_only_when_predicted_on(engine: Engine) {
     // Run every workload on a 1..=safe range of pool sizes; the pool
     // must stall exactly when the analysis says deadlock is possible.
     for seed in 300..315 {
@@ -126,7 +125,7 @@ fn under_provisioned_pools_stall_only_when_predicted_on(engine: Engine) {
         let safe = sizing::min_threads_deadlock_free(&dag);
         for workers in 1..=safe {
             let verdict = deadlock::check_global(&dag, workers);
-            let mut pool = fast_pool(workers, QueueDiscipline::GlobalFifo, engine);
+            let mut pool = fast_pool(workers, QueueDiscipline::GlobalFifo);
             match pool.run(&dag) {
                 Ok(report) => {
                     assert_valid_run(&dag, &report);
@@ -148,13 +147,7 @@ fn under_provisioned_pools_stall_only_when_predicted_on(engine: Engine) {
 
 #[test]
 fn pool_survives_a_batch_of_mixed_jobs() {
-    for engine in ENGINES {
-        pool_survives_a_batch_of_mixed_jobs_on(engine);
-    }
-}
-
-fn pool_survives_a_batch_of_mixed_jobs_on(engine: Engine) {
-    let mut pool = fast_pool(3, QueueDiscipline::GlobalFifo, engine);
+    let mut pool = fast_pool(3, QueueDiscipline::GlobalFifo);
     let mut stalls = 0;
     let mut completions = 0;
     for seed in 400..430 {
@@ -172,38 +165,32 @@ fn pool_survives_a_batch_of_mixed_jobs_on(engine: Engine) {
     assert!(completions > 0, "some jobs must fit 3 workers");
 }
 
-/// Satellite (c): a deliberately oversubscribed m = 32 pool (this runner
-/// has far fewer cores) churning many tiny-WCET wide jobs back to back.
-/// Every completion wakeup under the v2 engine is a *targeted* unpark; a
-/// lost wakeup would strand a parked worker and surface as a watchdog
-/// abort or a spurious stall. Seeded and deterministic in workload.
+/// A deliberately oversubscribed m = 32 pool (far more workers than
+/// cores) churning many tiny-WCET wide jobs back to back. Every
+/// completion wakeup is a *targeted* unpark; a lost wakeup would strand
+/// a parked worker and surface as a watchdog abort or a spurious stall.
+/// Seeded and deterministic in workload.
 #[test]
 fn no_lost_wakeups_at_m32_oversubscribed() {
     use rand::Rng;
-    for engine in ENGINES {
-        let mut pool = ThreadPool::new(
-            PoolConfig::new(32, QueueDiscipline::GlobalFifo)
-                .with_engine(engine)
-                .with_time_scale(Duration::ZERO)
-                .with_watchdog(Duration::from_secs(20)),
-        );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xA11CE);
-        for round in 0..40 {
-            // Wide, shallow, all-tiny-WCET fork-joins: maximal enqueue /
-            // park churn per unit of body work.
-            let width = rng.gen_range(8..=64);
-            let blocking = round % 3 == 0;
-            let mut b = rtpool_graph::DagBuilder::new();
-            let wcets = vec![1u64; width];
-            b.fork_join(1, &wcets, 1, blocking).unwrap();
-            let dag = b.build().unwrap();
-            let report = pool.run(&dag).unwrap_or_else(|e| {
-                panic!(
-                    "{} round {round}: lost wakeup suspected: {e}",
-                    engine.as_str()
-                )
-            });
-            assert_eq!(report.executed_nodes, width + 2, "round {round}");
-        }
+    let mut pool = ThreadPool::new(
+        PoolConfig::new(32, QueueDiscipline::GlobalFifo)
+            .with_time_scale(Duration::ZERO)
+            .with_watchdog(Duration::from_secs(20)),
+    );
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xA11CE);
+    for round in 0..40 {
+        // Wide, shallow, all-tiny-WCET fork-joins: maximal enqueue /
+        // park churn per unit of body work.
+        let width = rng.gen_range(8..=64);
+        let blocking = round % 3 == 0;
+        let mut b = rtpool_graph::DagBuilder::new();
+        let wcets = vec![1u64; width];
+        b.fork_join(1, &wcets, 1, blocking).unwrap();
+        let dag = b.build().unwrap();
+        let report = pool
+            .run(&dag)
+            .unwrap_or_else(|e| panic!("round {round}: lost wakeup suspected: {e}"));
+        assert_eq!(report.executed_nodes, width + 2, "round {round}");
     }
 }

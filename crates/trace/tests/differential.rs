@@ -25,7 +25,7 @@ use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::deadlock;
 use rtpool_core::partition::algorithm1;
 use rtpool_core::{ConcurrencyAnalysis, TaskId, TaskSet};
-use rtpool_exec::{Engine, ExecError, PoolConfig, QueueDiscipline, ThreadPool};
+use rtpool_exec::{ExecError, PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 use rtpool_sim::{SchedulingPolicy, SimConfig, SimOutcome};
 use rtpool_trace::{EventKind, Trace, TraceAnalysis};
@@ -200,14 +200,9 @@ fn sim_partitioned_traces_respect_paper_bounds() {
     }
 }
 
-/// Both pool dispatch engines: the trace-level invariants must hold
-/// regardless of how the native pool dispatches nodes.
-const POOL_ENGINES: [Engine; 2] = [Engine::V1Condvar, Engine::V2LockFree];
-
-fn exec_pool(m: usize, discipline: QueueDiscipline, engine: Engine) -> ThreadPool {
+fn exec_pool(m: usize, discipline: QueueDiscipline) -> ThreadPool {
     ThreadPool::new(
         PoolConfig::new(m, discipline)
-            .with_engine(engine)
             .with_time_scale(Duration::ZERO)
             .with_watchdog(Duration::from_secs(10))
             .with_trace(),
@@ -216,12 +211,6 @@ fn exec_pool(m: usize, discipline: QueueDiscipline, engine: Engine) -> ThreadPoo
 
 #[test]
 fn exec_global_traces_respect_paper_bounds() {
-    for engine in POOL_ENGINES {
-        exec_global_traces_respect_paper_bounds_on(engine);
-    }
-}
-
-fn exec_global_traces_respect_paper_bounds_on(engine: Engine) {
     const M: usize = 3;
     for seed in 0..EXEC_GLOBAL_SETS as u64 {
         let set = random_set(seed, 2, 1.0);
@@ -231,8 +220,8 @@ fn exec_global_traces_respect_paper_bounds_on(engine: Engine) {
             if !deadlock::check_global(task.dag(), M).is_deadlock_free() {
                 continue;
             }
-            let mut pool = exec_pool(M, QueueDiscipline::GlobalFifo, engine);
-            let ctx = format!("exec/global/{} seed {seed} task {i}", engine.as_str());
+            let mut pool = exec_pool(M, QueueDiscipline::GlobalFifo);
+            let ctx = format!("exec/global seed {seed} task {i}");
             let mut report = pool
                 .run(task.dag())
                 .unwrap_or_else(|e| panic!("{ctx}: certified-free DAG failed: {e}"));
@@ -266,12 +255,6 @@ fn exec_global_traces_respect_paper_bounds_on(engine: Engine) {
 
 #[test]
 fn exec_partitioned_traces_respect_paper_bounds() {
-    for engine in POOL_ENGINES {
-        exec_partitioned_traces_respect_paper_bounds_on(engine);
-    }
-}
-
-fn exec_partitioned_traces_respect_paper_bounds_on(engine: Engine) {
     const M: usize = 3;
     let mut checked = 0usize;
     let mut seed = 20_000u64;
@@ -286,12 +269,8 @@ fn exec_partitioned_traces_respect_paper_bounds_on(engine: Engine) {
             let Ok(mapping) = algorithm1(task.dag(), M) else {
                 continue;
             };
-            let mut pool = exec_pool(M, QueueDiscipline::Partitioned(mapping), engine);
-            let ctx = format!(
-                "exec/partitioned/{} seed {} task {i}",
-                engine.as_str(),
-                seed - 1
-            );
+            let mut pool = exec_pool(M, QueueDiscipline::Partitioned(mapping));
+            let ctx = format!("exec/partitioned seed {} task {i}", seed - 1);
             // Lemma 3: Algorithm 1 mappings never stall on the real pool.
             let mut report = pool
                 .run(task.dag())
@@ -313,10 +292,10 @@ fn exec_partitioned_traces_respect_paper_bounds_on(engine: Engine) {
     }
 }
 
-/// The two engines agree on the paper's Figure 1(c) scenario: two
-/// blocking replicas on two threads deadlock, and **both** traces show
-/// the stall the same way (a `StallDetected` event, zero available
-/// concurrency at the end).
+/// The simulator and the native pool agree on the paper's Figure 1(c)
+/// scenario: two blocking replicas on two threads deadlock, and **both**
+/// traces show the stall the same way (a `StallDetected` event, zero
+/// available concurrency at the end).
 #[test]
 fn figure_1c_stall_is_observed_identically_by_both_engines() {
     let mut b = rtpool_graph::DagBuilder::new();
@@ -342,21 +321,15 @@ fn figure_1c_stall_is_observed_identically_by_both_engines() {
     let sim_trace = out.take_event_trace().expect("tracing was enabled");
     assert!(sim_trace.validate().is_empty());
 
-    // Native pool, under both dispatch engines.
-    let mut traces = vec![sim_trace];
-    for engine in POOL_ENGINES {
-        let mut pool = exec_pool(2, QueueDiscipline::GlobalFifo, engine);
-        match pool.run(&dag) {
-            Err(ExecError::Stalled { .. }) => {}
-            other => panic!(
-                "expected the {} pool to stall, got {other:?}",
-                engine.as_str()
-            ),
-        }
-        let exec_trace = pool.take_last_trace().expect("tracing was enabled");
-        assert!(exec_trace.validate().is_empty());
-        traces.push(exec_trace);
+    // Native pool.
+    let mut pool = exec_pool(2, QueueDiscipline::GlobalFifo);
+    match pool.run(&dag) {
+        Err(ExecError::Stalled { .. }) => {}
+        other => panic!("expected the pool to stall, got {other:?}"),
     }
+    let exec_trace = pool.take_last_trace().expect("tracing was enabled");
+    assert!(exec_trace.validate().is_empty());
+    let traces = [sim_trace, exec_trace];
 
     // Identical observations through the one shared analysis.
     for trace in &traces {

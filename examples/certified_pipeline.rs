@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use rtpool_exec::{Engine, ThreadPool};
+use rtpool_exec::ThreadPool;
 
 #[allow(dead_code)]
 mod certified_pipeline {
@@ -54,27 +54,6 @@ fn main() {
             "  \u{3c4}{i}: {} nodes, makespan {:?}, min available workers {} (certified \u{2265} {})",
             report.executed_nodes,
             report.makespan,
-            report.min_available_workers,
-            wl::L_BAR
-        );
-        assert!(report.min_available_workers >= wl::L_BAR);
-    }
-
-    // The certificate is engine-independent (the Lemma 1 floor depends
-    // on m and b̄ only), so the same config also runs on the lock-free
-    // v2 dispatch engine.
-    let mut pool_v2 = ThreadPool::new_static_with(&wl::CONFIG, |c| {
-        c.with_engine(Engine::V2LockFree)
-            .with_time_scale(Duration::from_micros(100))
-    });
-    println!("\n== Same certificate on Engine::V2LockFree ==");
-    for (i, dag) in wl::CONFIG.dags().iter().enumerate() {
-        let report = pool_v2
-            .run(dag)
-            .expect("a certified workload cannot stall on its certified pool");
-        println!(
-            "  \u{3c4}{i}: {} nodes, min available workers {} (certified \u{2265} {})",
-            report.executed_nodes,
             report.min_available_workers,
             wl::L_BAR
         );

@@ -102,25 +102,6 @@ fn new_static_matches_dynamic_try_new() {
 }
 
 #[test]
-fn new_static_runs_on_the_v2_engine() {
-    use rtpool::exec::Engine;
-    // The certificate pins the worker count and queue discipline — the
-    // inputs of the Lemma 1 floor — but not the dispatch engine, so a
-    // certified config may select `Engine::V2LockFree` freely.
-    let wl = &certified_figure1::CONFIG;
-    let mut pool = ThreadPool::new_static_with(wl, |c| {
-        c.with_engine(Engine::V2LockFree)
-            .with_time_scale(std::time::Duration::ZERO)
-    });
-    for dag in wl.dags() {
-        let report = pool.run(&dag).expect("certified v2 run");
-        assert_eq!(report.executed_nodes, dag.node_count());
-        // The certified concurrency floor is engine-independent.
-        assert!(report.min_available_workers >= certified_figure1::L_BAR);
-    }
-}
-
-#[test]
 fn out_dir_module_agrees_with_generate_string() {
     // The module included above (written by build.rs) and a fresh
     // library-level generation must agree — build.rs adds nothing.
